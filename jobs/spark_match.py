@@ -5,9 +5,8 @@ Run: ``spark-submit jobs/spark_match.py [dataset] [n_edges]``.
 import sys
 import time
 
-from _common import get_spark
-
 from repro.dist import build_spark_hypergraph, spark_hgmatch
+from repro.dist.session import get_spark
 from repro.experiments.datasets import make_dataset
 from repro.hyper.queries import QuerySetting, sample_query
 from repro.hyper.storage import SignatureStore

@@ -4,8 +4,7 @@ Run: ``spark-submit jobs/table2_datasets.py [scale]``.
 """
 import sys
 
-from _common import get_spark
-
+from repro.dist.session import get_spark
 from repro.dist.stats import dataset_stats
 from repro.dist.storage import build_spark_hypergraph
 from repro.experiments.datasets import CATALOG, DATASET_ORDER, make_dataset

@@ -1,48 +1,40 @@
 """HGMatch as a Spark DataFrame dataflow (SCAN -> EXPAND* -> SINK).
 
-Every EXPAND step executes Alg. 4 + Alg. 5 with relational set
-operations distributed across executors:
+Each row of the dataflow is one partial embedding: ``emb`` (matched
+hyperedge ids in phi order), ``vsets`` (their vertex sets) and
+``lsets`` (the vertices' labels, aligned by position). ``emb`` is the
+row's key, so every EXPAND step (Def. VI.1) reads its input once and
+runs Alg. 4 + Alg. 5 as one pipeline:
 
-1. *per-constraint candidate vertices* — pure Catalyst higher-order
-   functions over the carried ``vsets``/``lsets`` arrays (label check,
-   partial-embedding degree via ``size(filter(...))``, non-incident
-   exclusion via ``array_contains``) — the set difference/filter of
-   Alg. 4 line 5;
-2. *posting-list union* — ``explode`` the candidate vertices and join
-   the inverted-index relation on ``(sig, v)`` — Alg. 4 line 6;
-3. *intersection* — ``groupBy (embedding, candidate) HAVING
-   count(DISTINCT constraint) = K`` — Alg. 4 line 7;
-4. *validation* — vertex-count check + vertex-profile multiset equality
-   against the plan's literal expected profiles (Alg. 5), again as pure
-   expressions (``sequence``/``element_at``/``sort_array``).
+1. *tagged candidate vertices* — per constraint ``ck``, a
+   higher-order ``filter`` over the carried arrays keeps the vertices
+   of the matched step with the constraint's label and partial degree
+   that no non-adjacent step covers (Alg. 4 line 5); the per-constraint
+   results are concatenated into one ``array<struct(ck, v)>`` and
+   ``inline``-d once;
+2. *posting-list union* — join the signature's inverted-index
+   postings on ``v`` (Alg. 4 line 6);
+3. *intersection* — ``groupBy(emb, eid)`` keeping candidates with
+   ``size(collect_set(ck)) = K`` (Alg. 4 line 7); ``vsets``/``lsets``
+   ride through the aggregate since ``emb`` determines them;
+4. *validation* — the vertex-count check (Obs. V.5), then the sorted
+   ``struct(label, steps)`` profile multiset against the plan's
+   literal expected profiles (Alg. 5).
 
-No Python UDFs anywhere: query-side quantities are literals from the
-:class:`~repro.core.plan.CompiledPlan`, so the whole job is one
-Catalyst-optimised DAG per step, shuffled across executors.
+Query-side quantities are literals from the
+:class:`~repro.core.plan.CompiledPlan`, built with the Column API (no
+SQL strings, no Python UDFs), so the plan grows by a fixed number of
+operators per EXPAND step.
 """
 from __future__ import annotations
 
-from functools import reduce
-
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import Column, DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.core.order import compute_matching_order
-from repro.core.plan import CompiledPlan, PlanStep, compile_plan
+from repro.core.plan import CompiledPlan, Constraint, PlanStep, compile_plan
 from repro.dist.storage import SparkHypergraph, sig_str
 from repro.hyper.model import Hypergraph
-
-
-def _sql_quote(s: str) -> str:
-    return s.replace("\\", "\\\\").replace("'", "\\'")
-
-
-def _expected_profile_strings(step: PlanStep) -> list[str]:
-    """Query-side profile multiset as sorted strings 'label|j1,j2'."""
-    return sorted(
-        f"{label}|{','.join(str(j) for j in positions)}"
-        for label, positions in step.expected_profiles
-    )
 
 
 def _scan(sh: SparkHypergraph, step: PlanStep) -> DataFrame:
@@ -57,92 +49,93 @@ def _scan(sh: SparkHypergraph, step: PlanStep) -> DataFrame:
     )
 
 
+def _tagged_candidates(step: PlanStep, ck: int, c: Constraint) -> Column:
+    """``array<struct(ck, v)>``: the vertices of step ``c.j`` that
+    satisfy constraint ``c`` (Alg. 4 l.5), tagged with ``ck``."""
+    vsets, lsets = F.col("vsets"), F.col("lsets")
+
+    def keep(v: Column, idx: Column) -> Column:
+        ok = (lsets[c.j][idx] == F.lit(c.label)) & (
+            F.size(F.filter(vsets, lambda a: F.array_contains(a, v))) == c.degree
+        )
+        for j in step.non_adjacent:
+            ok &= ~F.array_contains(vsets[j], v)
+        return ok
+
+    return F.transform(
+        F.filter(vsets[c.j], keep),
+        lambda v: F.struct(F.lit(ck).alias("ck"), v.alias("v")),
+    )
+
+
+def _profiles_match(step: PlanStep) -> Column:
+    """Alg. 5: the sorted profiles ``struct(label, steps j <= i whose
+    hyperedge contains v)`` of the new hyperedge's vertices equal the
+    plan's query-side multiset."""
+    vsets = F.col("vsets")
+    data = F.sort_array(
+        F.transform(
+            "cvs",
+            lambda v, idx: F.struct(
+                F.col("cls")[idx].alias("label"),
+                F.filter(
+                    F.sequence(F.lit(0), F.lit(step.i)),
+                    lambda j: F.array_contains(vsets[j], v),
+                ).alias("steps"),
+            ),
+        )
+    )
+    query = F.array(
+        *[
+            F.struct(
+                F.lit(label).alias("label"),
+                F.array(*[F.lit(j) for j in steps]).alias("steps"),
+            )
+            for label, steps in step.expected_profiles
+        ]
+    )
+    return data == query
+
+
 def _expand(sh: SparkHypergraph, step: PlanStep, cur: DataFrame) -> DataFrame:
     """EXPAND(phi[i]): extend every partial embedding by one hyperedge."""
-    i = step.i
-    s = sig_str(step.sig)
-    base = cur.withColumn("emb_id", F.monotonically_increasing_id())
-
-    if step.non_adjacent:
-        forbidden = F.flatten(
-            F.array(*[F.col("vsets")[j] for j in step.non_adjacent])
-        )
-    else:
-        forbidden = F.expr("CAST(array() AS array<bigint>)")
-    base = base.withColumn("forbidden", forbidden)
-
-    # One candidate-vertex set per deduplicated constraint (Alg. 4 l.5).
     if not step.constraints:
         raise ValueError("EXPAND requires a connected matching order")
-    branches = []
-    for k, c in enumerate(step.constraints):
-        candv = F.expr(
-            f"""filter(vsets[{c.j}], (v, idx) ->
-                    lsets[{c.j}][idx] = '{_sql_quote(c.label)}'
-                    AND NOT array_contains(forbidden, v)
-                    AND size(filter(vsets, a -> array_contains(a, v))) = {c.degree})"""
-        )
-        branches.append(
-            base.select(
-                "emb_id", F.lit(k).alias("ck"), F.explode(candv).alias("v")
-            )
-        )
-    cons = reduce(DataFrame.unionByName, branches)
-
-    # Posting-list union (join the inverted index) + intersection
-    # (count distinct satisfied constraints == K), Alg. 4 l.6-7.
-    k_total = len(step.constraints)
+    s = sig_str(step.sig)
+    tagged = F.concat(
+        *[_tagged_candidates(step, ck, c) for ck, c in enumerate(step.constraints)]
+    )
     postings = sh.index.where(F.col("sig") == s).select("v", "eid")
+    # Posting-list union + intersection (Alg. 4 l.6-7), keyed by emb.
+    # collect_set, not countDistinct: next to ``first``, a distinct
+    # aggregate is planned as two aggregations with one more shuffle.
     cands = (
-        cons.join(postings, "v")
-        .select("emb_id", "ck", "eid")
-        .distinct()
-        .groupBy("emb_id", "eid")
-        .agg(F.countDistinct("ck").alias("nck"))
-        .where(F.col("nck") == k_total)
-        .select("emb_id", "eid")
+        cur.select("emb", "vsets", "lsets", F.inline(tagged))
+        .join(postings, "v")
+        .where(~F.array_contains("emb", F.col("eid")))
+        .groupBy("emb", "eid")
+        .agg(
+            F.size(F.collect_set("ck")).alias("nck"),
+            F.first("vsets").alias("vsets"),
+            F.first("lsets").alias("lsets"),
+        )
+        .where(F.col("nck") == len(step.constraints))
     )
-
-    # Attach candidate hyperedge payloads and the embedding state.
-    cand_edges = sh.edges.select(
-        F.col("eid").alias("ceid"),
-        F.col("vs").alias("cvs"),
-        F.col("ls").alias("cls"),
+    cand_edges = sh.edges.where(F.col("sig") == s).select(
+        "eid", F.col("vs").alias("cvs"), F.col("ls").alias("cls")
     )
-    joined = (
-        cands.join(cand_edges, cands["eid"] == cand_edges["ceid"])
-        .join(base.select("emb_id", "emb", "vsets", "lsets"), "emb_id")
-        .where(~F.array_contains(F.col("emb"), F.col("eid")))
+    joined = cands.join(cand_edges, "eid").select(
+        F.concat("emb", F.array("eid")).alias("emb"),
+        F.concat("vsets", F.array("cvs")).alias("vsets"),
+        F.concat("lsets", F.array("cls")).alias("lsets"),
+        "cvs",
+        "cls",
     )
-
-    new_vsets = F.concat(F.col("vsets"), F.array(F.col("cvs")))
-    joined = (
-        joined.withColumn("emb", F.concat(F.col("emb"), F.array(F.col("eid"))))
-        .withColumn("vsets", new_vsets)
-        .withColumn("lsets", F.concat(F.col("lsets"), F.array(F.col("cls"))))
-    )
-
     # Validation (Alg. 5): Obs. V.5 vertex count, then profile multiset.
-    vcount_ok = (
-        F.size(F.array_distinct(F.flatten(F.col("vsets"))))
-        == F.lit(step.expected_vcount)
-    )
-    profiles = F.expr(
-        f"""sort_array(transform(cvs, (v, idx) ->
-                concat(cls[idx], '|',
-                       array_join(
-                           transform(
-                               filter(sequence(0, {i}),
-                                      j -> array_contains(element_at(vsets, j + 1), v)),
-                               j -> cast(j as string)),
-                           ','))))"""
-    )
-    expected = F.array(
-        *[F.lit(p) for p in _expected_profile_strings(step)]
-    )
+    vcount_ok = F.size(F.array_distinct(F.flatten("vsets"))) == step.expected_vcount
     return (
         joined.where(vcount_ok)
-        .where(profiles == expected)
+        .where(_profiles_match(step))
         .select("emb", "vsets", "lsets")
     )
 

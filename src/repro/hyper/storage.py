@@ -16,7 +16,6 @@ Exp-1 "Index" column.
 from __future__ import annotations
 
 import time
-from bisect import bisect_left
 from dataclasses import dataclass
 
 from repro.hyper.model import Hypergraph, Signature
@@ -83,12 +82,6 @@ class SignatureStore:
         """``he(v, s)``: incident hyperedges of ``v`` with signature
         ``sig``, ascending (posting-list lookup)."""
         return self.inverted.get(sig, {}).get(v, _EMPTY)
-
-    def contains(self, sig: Signature, eid: int) -> bool:
-        """Membership test within a partition (binary search)."""
-        part = self.partitions.get(sig, _EMPTY)
-        i = bisect_left(part, eid)
-        return i < len(part) and part[i] == eid
 
     # ------------------------------------------------------------------
     # size analysis (Section IV-B/IV-C, Exp-1)

@@ -1,5 +1,7 @@
 """Tests for the distributed Spark dataflow engine (Section VI-A),
 cross-checked against the sequential engine and brute force."""
+import time
+
 import pytest
 
 from tests.helpers import small_instance
@@ -12,19 +14,10 @@ from repro.dist.engine import (
 )
 from repro.dist.storage import build_spark_hypergraph
 from repro.experiments.datasets import make_dataset
+from repro.hyper.generator import random_hypergraph
 from repro.hyper.model import Hypergraph, fig1_data, fig1_query
 from repro.hyper.queries import QuerySetting, sample_query
 from repro.hyper.storage import SignatureStore
-
-
-@pytest.fixture(scope="module", autouse=True)
-def few_shuffle_partitions(spark):
-    """The engine's per-step joins run at toy scale here; 64 shuffle
-    partitions would dominate runtime."""
-    old = spark.conf.get("spark.sql.shuffle.partitions")
-    spark.conf.set("spark.sql.shuffle.partitions", "8")
-    yield
-    spark.conf.set("spark.sql.shuffle.partitions", old)
 
 
 @pytest.fixture(scope="module")
@@ -61,10 +54,32 @@ class TestFig1:
         assert spark_hgmatch_count(spark, sh, q0) == 0
 
 
+def _exchanges(node) -> int:
+    """Exchanges in an executed physical plan, through adaptive plans
+    and query stages."""
+    name = node.nodeName()
+    if name == "AdaptiveSparkPlan":
+        return _exchanges(node.executedPlan())
+    if name.endswith("QueryStage"):
+        return _exchanges(node.plan())
+    children = node.children()
+    return int(name in ("Exchange", "ReusedExchange")) + sum(
+        _exchanges(children.apply(i)) for i in range(children.size())
+    )
+
+
+# Quote, backslash, non-ASCII and the old profile separator.
+ADVERSARIAL_LABELS = {"L0": "it's", "L1": "a\\b", "L2": "ü", "L3": "x|0"}
+
+
 class TestCrossValidation:
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_random_instances_vs_brute_force(self, spark, seed):
-        inst = small_instance(seed)
+    @pytest.mark.parametrize(
+        "seed, n_edges_q",
+        [pytest.param(s, 3, id=str(s)) for s in range(4)]
+        + [pytest.param(s, 4, id=f"{s}-q4") for s in range(4)],
+    )
+    def test_random_instances_vs_brute_force(self, spark, seed, n_edges_q):
+        inst = small_instance(seed, n_edges_q=n_edges_q)
         if inst is None:
             pytest.skip("no connected query")
         H, store, q = inst
@@ -72,6 +87,20 @@ class TestCrossValidation:
         sh = build_spark_hypergraph(spark, H)
         df, plan = spark_hgmatch(spark, sh, q)
         assert collect_embeddings_query_edge_order(df, plan) == bft
+
+    def test_adversarial_labels_vs_brute_force(self, spark):
+        H0 = random_hypergraph(
+            n_vertices=14, n_edges=18, n_labels=4, mean_arity=2.8, max_arity=5, seed=0
+        )
+        H = Hypergraph([ADVERSARIAL_LABELS[lbl] for lbl in H0.labels], H0.edges)
+        assert set(H.labels) == set(ADVERSARIAL_LABELS.values())
+        sh = build_spark_hypergraph(spark, H)
+        for n_edges_q in (3, 4):
+            q = sample_query(H, QuerySetting("t", n_edges_q, 2, 12), seed=0).query
+            bf, bft = brute_force(H, q, collect=True)
+            assert bft
+            df, plan = spark_hgmatch(spark, sh, q)
+            assert collect_embeddings_query_edge_order(df, plan) == bft
 
     def test_catalog_dataset_vs_local_engine(self, spark):
         H = make_dataset("CH", scale=0.25, seed=0)
@@ -98,7 +127,49 @@ class TestDataflowShape:
         assert df.columns == ["emb"]
 
     def test_lazy_until_action(self, spark, fig1):
-        # Building the dataflow must not trigger any job.
+        # With an explicit phi, building the dataflow starts no job.
         H, q, sh = fig1
-        df, _ = spark_hgmatch(spark, sh, q)
-        assert df.schema is not None  # analysis only, no execution
+        sc = spark.sparkContext
+        tracker = sc.statusTracker()
+        try:
+            sc.setJobGroup("build", "build the dataflow")
+            df, _ = spark_hgmatch(spark, sh, q, phi=[2, 1, 0])
+            assert df.schema is not None  # analysis only, no execution
+            # An action in a second group: once the status store lists
+            # it, every earlier job event has been processed too.
+            sc.setJobGroup("action", "run the dataflow")
+            assert df.count() == 2
+            deadline = time.monotonic() + 30
+            while not tracker.getJobIdsForGroup("action"):
+                assert time.monotonic() < deadline, "action job not listed"
+                time.sleep(0.05)
+            assert tracker.getJobIdsForGroup("build") == []
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+            sc.setLocalProperty("spark.job.description", None)
+
+    def test_plan_grows_linearly_per_expand_step(self, spark):
+        # Every EXPAND step adds the same number of exchanges to the
+        # executed plan of each phi-prefix of a 4-hyperedge query. The
+        # storage relations are cached, as a served hypergraph would
+        # be, so a reused index sub-plan cannot hide its own joins.
+        H, store, q = small_instance(0, n_edges_q=4)
+        assert q.n_edges == 4
+        sh = build_spark_hypergraph(spark, H)
+        sh.edges, sh.index = sh.edges.cache(), sh.index.cache()
+        try:
+            _, plan = spark_hgmatch(spark, sh, q)
+            exchanges = []
+            for k in range(1, 5):
+                prefix, _ = q.subhypergraph(list(plan.phi[:k]))
+                df, _ = spark_hgmatch(spark, sh, prefix, phi=list(range(k)))
+                counted = df.groupBy().count()
+                assert counted.collect()[0][0] > 0
+                exchanges.append(
+                    _exchanges(counted._jdf.queryExecution().executedPlan())
+                )
+        finally:
+            sh.edges.unpersist()
+            sh.index.unpersist()
+        steps = {b - a for a, b in zip(exchanges, exchanges[1:])}
+        assert len(steps) == 1 and steps.pop() > 0, exchanges

@@ -45,10 +45,6 @@ class TestPartitions:
         assert store.scan(("A", "A", "B")) == (2, 3)
         assert store.scan(("nope",)) == ()
 
-    def test_contains(self, store):
-        assert store.contains(("A", "C"), 0)
-        assert not store.contains(("A", "C"), 2)
-
 
 class TestInvertedIndex:
     def test_posting_lists_fig1(self, store):
