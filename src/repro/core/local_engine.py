@@ -1,16 +1,20 @@
 """Sequential match-by-hyperedge engine (paper Alg. 2).
 
 Executes a :class:`~repro.core.plan.CompiledPlan` with an explicit LIFO
-stack — the single-thread specialisation of the task-based scheduler of
-Section VI-B, so memory stays bounded (no level-wise materialisation)
-and the traversal order matches what the parallel simulator replays.
+stack of ``(step, m)`` tasks — the single-thread specialisation of the
+task-based scheduler of Section VI-B, so memory stays bounded (no
+level-wise materialisation) and the traversal order matches what the
+parallel simulator replays. ``m`` holds the matched hyperedge ids of
+steps ``0..step-1``; step 0 is SCAN, step ``n`` is SINK and every other
+step is EXPAND. Both this engine and :mod:`repro.engine.tasks` process
+a task with :func:`expand_embedding`.
 
 The engine never recurses and never builds auxiliary runtime
 structures; each expansion is Alg. 4 (set-operation candidate
 generation) followed by Alg. 5 (profile validation), with operation
 counting for budgets ("timeouts") and for Exp-3's filtering statistics:
 
-- ``stats['candidates']`` — candidates emitted by Alg. 4
+- ``stats['candidates']`` — candidates emitted by SCAN and Alg. 4
 - ``stats['filtered']``   — survivors of the vertex-count check (Obs. V.5)
 - ``stats['validated']``  — survivors of profile validation (= embeddings
   at the final step)
@@ -48,12 +52,20 @@ def expand_embedding(
     validation: str = "profile",
     stats: Counter | None = None,
 ) -> list[tuple[int, ...]]:
-    """One EXPAND: all valid extensions of partial embedding ``m``
-    (matched hyperedge ids of steps ``0..step_idx-1``) by step
-    ``step_idx``. Shared by this engine and the task scheduler.
+    """All valid extensions of partial embedding ``m`` (matched
+    hyperedge ids of steps ``0..step_idx-1``) by step ``step_idx``.
+    Step 0 is SCAN: every hyperedge of the partition S(phi[0]) is a
+    root. Any later step is one EXPAND (Alg. 4 + Alg. 5). Shared by
+    this engine and the task scheduler.
     """
-    H = store.H
     step = plan.steps[step_idx]
+    if step_idx == 0:
+        roots = store.scan(step.sig)
+        if stats is not None:
+            for key in ("ops", "candidates", "filtered", "validated"):
+                stats[key] += len(roots)
+        return [(eid,) for eid in roots]
+    H = store.H
     vsets = [H.edges[eid] for eid in m]
     out: list[tuple[int, ...]] = []
     for c in generate_candidates(step, vsets, store, stats):
@@ -104,20 +116,7 @@ def hgmatch(
         result.embeddings = []
 
     n = plan.n_steps
-    first = plan.steps[0]
-    # SCAN: every hyperedge in the partition S(phi[0]) starts a branch.
-    roots = store.scan(first.sig)
-    stats["ops"] += len(roots)
-    stats["candidates"] += len(roots)
-    stats["filtered"] += len(roots)
-    stats["validated"] += len(roots)
-    if n == 1:
-        result.count = len(roots)
-        if collect:
-            result.embeddings = [(eid,) for eid in roots]
-        return result
-
-    stack: list[tuple[int, tuple[int, ...]]] = [(1, (eid,)) for eid in reversed(roots)]
+    stack: list[tuple[int, tuple[int, ...]]] = [(0, ())]
     while stack:
         if budget is not None and stats["ops"] > budget:
             result.timed_out = True

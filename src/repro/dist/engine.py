@@ -31,6 +31,7 @@ from __future__ import annotations
 from pyspark.sql import Column, DataFrame, SparkSession
 from pyspark.sql import functions as F
 
+from repro.core.local_engine import MatchResult, embeddings_in_query_edge_order
 from repro.core.order import compute_matching_order
 from repro.core.plan import CompiledPlan, Constraint, PlanStep, compile_plan
 from repro.dist.storage import SparkHypergraph, sig_str
@@ -182,8 +183,7 @@ def collect_embeddings_query_edge_order(
 ) -> set[tuple[int, ...]]:
     """Collect embeddings re-aligned to query-hyperedge order, for
     cross-engine comparison in tests."""
-    inv = {phi_e: i for i, phi_e in enumerate(plan.phi)}
-    n = len(plan.phi)
-    return {
-        tuple(row["emb"][inv[k]] for k in range(n)) for row in df.collect()
-    }
+    embs = [tuple(row["emb"]) for row in df.collect()]
+    return embeddings_in_query_edge_order(
+        MatchResult(len(embs), tuple(plan.phi), embeddings=embs)
+    )

@@ -32,8 +32,3 @@ def dataset_stats(sh: SparkHypergraph) -> DataFrame:
     return label_stats.crossJoin(edge_stats).select(
         "n_vertices", "n_edges", "n_labels", "a_max", "avg_arity", "index_postings"
     )
-
-
-def partition_cardinalities(sh: SparkHypergraph) -> DataFrame:
-    """``(sig, card)``: the Def. V.2 metadata the planner reads."""
-    return sh.edges.groupBy("sig").agg(F.count("eid").alias("card"))

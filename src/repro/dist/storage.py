@@ -4,7 +4,8 @@ Three relations mirror the paper's indexed data hypergraph:
 
 - ``edges(eid, sig, vs, ls)`` — the hyperedge tables, one logical
   partition per signature (``sig`` is the canonical string encoding of
-  the label multiset); ``vs`` holds the member vertex ids ascending and
+  the label multiset, a JSON array, so labels holding ``,`` or quotes
+  cannot collide); ``vs`` holds the member vertex ids ascending and
   ``ls`` their labels, aligned by position;
 - ``index(sig, v, eid)`` — the inverted hyperedge index: the posting
   list of ``he(v, s)`` is the ``eid`` set for a ``(sig, v)`` pair;
@@ -16,6 +17,7 @@ against plain SQL over it.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import pandas as pd
@@ -23,12 +25,10 @@ from pyspark.sql import DataFrame, SparkSession
 
 from repro.hyper.model import Hypergraph, Signature
 
-SIG_SEP = ","
-
 
 def sig_str(sig: Signature) -> str:
-    """Canonical string form of a signature multiset."""
-    return SIG_SEP.join(sig)
+    """Canonical, injective string form of a signature multiset."""
+    return json.dumps(sig)
 
 
 @dataclass

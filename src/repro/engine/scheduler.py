@@ -9,7 +9,7 @@ dynamic load balancing of Section VI-C.
 
 Virtual time: executing a task advances its worker's clock by the
 task's measured operation count (see :mod:`repro.engine.tasks`), plus a
-configurable steal overhead per steal. Causality is respected: a task
+fixed ``STEAL_OVERHEAD`` per steal. Causality is respected: a task
 cannot start before the virtual time its parent finished (its *ready
 time*). The simulated makespan with p workers therefore reflects
 genuine work distribution; Exp-4's speedups are
@@ -28,7 +28,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.engine.tasks import HGMatchTaskExecutor, Task
+from repro.engine.tasks import ROOT, HGMatchTaskExecutor, payload_nbytes
+
+# Virtual time a thief spends on one steal, in operation-count units.
+STEAL_OVERHEAD = 8.0
 
 
 @dataclass
@@ -66,7 +69,6 @@ def simulate_workstealing(
     *,
     steal: bool = True,
     seed: int = 0,
-    steal_overhead: float = 8.0,
     numa_threshold: int | None = None,
     numa_penalty: float = 1.3,
     scatter_roots: bool = False,
@@ -86,7 +88,7 @@ def simulate_workstealing(
         raise ValueError("need at least one worker")
     rng = np.random.default_rng(seed)
     aq = executor.plan.q.avg_arity
-    queues: list[deque[tuple[Task, float]]] = [deque() for _ in range(n_workers)]
+    queues: list[deque[tuple[tuple, float]]] = [deque() for _ in range(n_workers)]
     clocks = [0.0] * n_workers
     busy = [0.0] * n_workers
     steal_time = [0.0] * n_workers
@@ -102,16 +104,16 @@ def simulate_workstealing(
             return numa_penalty
         return 1.0
 
-    def push(w: int, tasks: list[Task], ready: float) -> None:
+    def push(w: int, tasks: list[tuple], ready: float) -> None:
         nonlocal live_bytes, peak_bytes
         for t in reversed(tasks):  # head-insert preserving child order
             queues[w].appendleft((t, ready))
-            live_bytes += t.payload_nbytes(aq)
+            live_bytes += payload_nbytes(t, aq)
         peak_bytes = max(peak_bytes, live_bytes)
 
     # Seed: SCAN executes on worker 0; its children either stay (steal
     # mode) or are scattered round-robin (static NOSTL mode).
-    root_out = executor.execute(executor.root_task())
+    root_out = executor.execute(ROOT)
     total_cost += root_out.cost
     busy[0] += root_out.cost
     clocks[0] += root_out.cost * cost_multiplier(0)
@@ -119,7 +121,7 @@ def simulate_workstealing(
     if scatter_roots:
         for i, t in enumerate(root_out.children):
             queues[i % n_workers].append((t, clocks[0]))
-            live_bytes += t.payload_nbytes(aq)
+            live_bytes += payload_nbytes(t, aq)
         peak_bytes = max(peak_bytes, live_bytes)
     else:
         push(0, root_out.children, clocks[0])
@@ -145,8 +147,8 @@ def simulate_workstealing(
                 # Causality of the stolen tasks is enforced by their
                 # per-task ready times at execution; the thief only
                 # pays the steal overhead here.
-                clocks[w] += steal_overhead
-                steal_time[w] += steal_overhead
+                clocks[w] += STEAL_OVERHEAD
+                steal_time[w] += STEAL_OVERHEAD
                 n_steals += 1
             nonempty = [w for w in range(n_workers) if queues[w]]
         # Next event: the worker able to *finish* soonest is a good
@@ -156,7 +158,7 @@ def simulate_workstealing(
 
         w = min(nonempty, key=lambda x: (start_time(x), x))
         task, ready = queues[w].popleft()
-        live_bytes -= task.payload_nbytes(aq)
+        live_bytes -= payload_nbytes(task, aq)
         out = executor.execute(task)
         n_tasks += 1
         total_cost += out.cost
@@ -192,21 +194,21 @@ def simulate_bfs(executor: HGMatchTaskExecutor) -> BfsResult:
     intermediate-result frontier level by level, as PGX.ISO-style BFS
     engines do; memory peaks at the widest level."""
     aq = executor.plan.q.avg_arity
-    frontier = [executor.root_task()]
-    peak_bytes = sum(t.payload_nbytes(aq) for t in frontier)
+    frontier = [ROOT]
+    peak_bytes = sum(payload_nbytes(t, aq) for t in frontier)
     peak_count = len(frontier)
     total_cost = 0.0
     emitted = 0
     n_tasks = 0
     while frontier:
-        nxt: list[Task] = []
+        nxt: list[tuple] = []
         for t in frontier:
             out = executor.execute(t)
             n_tasks += 1
             total_cost += out.cost
             emitted += out.emitted
             nxt.extend(out.children)
-        level_bytes = sum(t.payload_nbytes(aq) for t in nxt)
+        level_bytes = sum(payload_nbytes(t, aq) for t in nxt)
         peak_bytes = max(peak_bytes, level_bytes)
         peak_count = max(peak_count, len(nxt))
         frontier = nxt

@@ -1,13 +1,17 @@
 """Task model of the dataflow engine (paper Def. VI.1).
 
 A task is the minimal scheduling unit: a (partial) embedding plus the
-operator that will process it. ``T_SCAN`` spawns one ``T_EXPAND`` per
-hyperedge of the scanned partition; ``T_EXPAND`` expands one partial
-embedding by one hyperedge (Alg. 4 + Alg. 5) and spawns ``T_EXPAND`` or
-``T_SINK`` children; ``T_SINK`` counts/collects an embedding. Tasks are
-lightweight — payload is just the tuple of matched hyperedge ids (the
-vertex sets are re-read from the indexed data hypergraph), matching the
-paper's "a partial embedding and a function pointer" remark.
+operator that will process it. It is the plain tuple ``(step, m)``:
+``m`` holds the matched hyperedge ids of steps ``0..step-1`` and the
+operator follows from ``step``. Step 0 is SCAN (``m`` is empty) and
+spawns one task per hyperedge of the scanned partition; step ``n`` is
+SINK, which counts one embedding; any other step is EXPAND, which
+extends ``m`` by one hyperedge (Alg. 4 + Alg. 5). SCAN and EXPAND are
+both :func:`~repro.core.local_engine.expand_embedding`, the function
+the sequential engine runs. Tasks are lightweight — the payload is
+just the tuple of matched hyperedge ids (the vertex sets are re-read
+from the indexed data hypergraph), matching the paper's "a partial
+embedding and a function pointer" remark.
 
 Each execution returns a *cost*: the number of basic set operations the
 task performed (the same counters the sequential engine uses), which
@@ -19,47 +23,36 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from enum import Enum
 
 from repro.core.local_engine import expand_embedding
 from repro.core.plan import CompiledPlan
 from repro.hyper.storage import SignatureStore
 
+# SCAN of the empty embedding: the one task every job starts from.
+ROOT = (0, ())
+# Fixed cost of dispatching one task; SINK costs only this.
+BASE_COST = 1.0
 
-class TaskKind(Enum):
-    SCAN = "scan"
-    EXPAND = "expand"
-    SINK = "sink"
 
-
-@dataclass(frozen=True)
-class Task:
-    """One schedulable unit: operator + partial embedding."""
-
-    kind: TaskKind
-    step: int                 # next step to match (EXPAND) / n (SINK)
-    m: tuple[int, ...]        # matched hyperedge ids of steps 0..step-1
-
-    def payload_nbytes(self, avg_arity: float) -> int:
-        """Memory accounting for Thm. VI.1: a partial embedding stores
-        ~``a_q`` vertex ids per matched hyperedge, 8 bytes each, plus
-        the function pointer (8)."""
-        return 8 + int(8 * avg_arity * max(1, len(self.m)))
+def payload_nbytes(task: tuple[int, tuple[int, ...]], avg_arity: float) -> int:
+    """Memory accounting for Thm. VI.1: a partial embedding stores
+    ~``a_q`` vertex ids per matched hyperedge, 8 bytes each, plus the
+    function pointer (8)."""
+    return 8 + int(8 * avg_arity * max(1, len(task[1])))
 
 
 @dataclass
 class ExecutionOutcome:
-    children: list[Task]
+    children: list[tuple[int, tuple[int, ...]]]
     cost: float
     emitted: int  # embeddings finalised by this task (SINK only)
 
 
 class HGMatchTaskExecutor:
-    """Executes tasks against a compiled plan + indexed hypergraph.
-
-    ``sink_cost`` is the small constant for counting one embedding;
-    expansion costs come from the real operation counters of Alg. 4/5.
-    """
+    """Executes ``(step, m)`` tasks against a compiled plan + indexed
+    hypergraph. A SCAN or EXPAND task costs the operations it counts in
+    ``stats`` (plus ``BASE_COST``), and ``stats`` equals the sequential
+    engine's plus ``emitted``."""
 
     def __init__(
         self,
@@ -67,41 +60,20 @@ class HGMatchTaskExecutor:
         store: SignatureStore,
         *,
         validation: str = "profile",
-        base_cost: float = 1.0,
-        sink_cost: float = 1.0,
     ):
         self.plan = plan
         self.store = store
         self.validation = validation
-        self.base_cost = base_cost
-        self.sink_cost = sink_cost
         self.stats: Counter = Counter()
 
-    def root_task(self) -> Task:
-        return Task(TaskKind.SCAN, 0, ())
-
-    def execute(self, task: Task) -> ExecutionOutcome:
-        n = self.plan.n_steps
-        if task.kind is TaskKind.SCAN:
-            roots = self.store.scan(self.plan.steps[0].sig)
-            self.stats["ops"] += len(roots)
-            kind = TaskKind.SINK if n == 1 else TaskKind.EXPAND
-            children = [Task(kind, 1, (eid,)) for eid in roots]
-            return ExecutionOutcome(children, self.base_cost + len(roots), 0)
-        if task.kind is TaskKind.EXPAND:
-            before = self.stats["ops"]
-            expanded = expand_embedding(
-                self.plan,
-                self.store,
-                task.step,
-                task.m,
-                validation=self.validation,
-                stats=self.stats,
-            )
-            cost = self.base_cost + (self.stats["ops"] - before)
-            kind = TaskKind.SINK if task.step + 1 == n else TaskKind.EXPAND
-            children = [Task(kind, task.step + 1, m) for m in expanded]
-            return ExecutionOutcome(children, cost, 0)
-        # SINK: consume one complete embedding.
-        self.stats["emitted"] += 1
-        return ExecutionOutcome([], self.sink_cost, 1)
+    def execute(self, task: tuple[int, tuple[int, ...]]) -> ExecutionOutcome:
+        step, m = task
+        if step == self.plan.n_steps:  # SINK: consume one embedding
+            self.stats["emitted"] += 1
+            return ExecutionOutcome([], BASE_COST, 1)
+        before = self.stats["ops"]
+        expanded = expand_embedding(
+            self.plan, self.store, step, m, validation=self.validation, stats=self.stats
+        )
+        cost = BASE_COST + (self.stats["ops"] - before)
+        return ExecutionOutcome([(step + 1, c) for c in expanded], cost, 0)

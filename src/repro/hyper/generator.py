@@ -23,6 +23,9 @@ import numpy as np
 
 from repro.hyper.model import Hypergraph
 
+# Zipf exponent of label frequencies.
+LABEL_ALPHA = 0.6
+
 
 def _zipf_weights(n: int, alpha: float) -> np.ndarray:
     w = 1.0 / np.arange(1, n + 1, dtype=np.float64) ** alpha
@@ -37,7 +40,6 @@ def random_hypergraph(
     mean_arity: float,
     max_arity: int,
     vertex_alpha: float = 0.8,
-    label_alpha: float = 0.6,
     seed: int = 0,
 ) -> Hypergraph:
     """Generate a labelled hypergraph.
@@ -53,7 +55,7 @@ def random_hypergraph(
     max_arity = max(1, min(max_arity, n_vertices))
     g = np.random.default_rng(seed)
 
-    label_ids = g.choice(n_labels, size=n_vertices, p=_zipf_weights(n_labels, label_alpha))
+    label_ids = g.choice(n_labels, size=n_vertices, p=_zipf_weights(n_labels, LABEL_ALPHA))
     labels = [f"L{i}" for i in label_ids]
 
     lo = 1 if mean_arity < 2 else 2

@@ -16,11 +16,19 @@ from repro.hyper.model import Hypergraph
 from repro.hyper.storage import SignatureStore
 
 
+# Labels that hold separator characters, unicode or nothing at all:
+# an engine that encodes label multisets as joined strings conflates
+# e.g. one "A,B" vertex with an "A" and a "B" vertex.
+ADVERSARIAL_ALPHABET = ["A", "A,B", "x|0", "E|A", "ü", ""]
+
+
 @st.composite
 def small_hypergraphs(draw):
-    """Tiny labelled hypergraphs with 2-4 labels and arity <= 4."""
+    """Tiny labelled hypergraphs with arity <= 4, labelled from either
+    {A, B} or the adversarial alphabet."""
     n = draw(st.integers(4, 9))
-    labels = [draw(st.sampled_from("AB")) for _ in range(n)]
+    alphabet = draw(st.sampled_from([["A", "B"], ADVERSARIAL_ALPHABET]))
+    labels = [draw(st.sampled_from(alphabet)) for _ in range(n)]
     n_edges = draw(st.integers(2, 7))
     edges: list[frozenset[int]] = []
     seen = set()

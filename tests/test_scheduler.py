@@ -1,5 +1,7 @@
 """Tests for the task model + LIFO scheduler + work stealing
 (paper Section VI, Theorem VI.1, Exps 4-6)."""
+from collections import Counter
+
 import pytest
 
 from tests.helpers import small_instance
@@ -11,9 +13,9 @@ from repro.engine.scheduler import (
     simulate_workstealing,
     theorem_vi1_bound_bytes,
 )
-from repro.engine.tasks import HGMatchTaskExecutor, Task, TaskKind
+from repro.engine.tasks import ROOT, HGMatchTaskExecutor, payload_nbytes
 from repro.experiments.datasets import make_dataset
-from repro.hyper.model import fig1_data, fig1_query
+from repro.hyper.model import Hypergraph, fig1_data, fig1_query
 from repro.hyper.queries import QuerySetting, sample_query
 from repro.hyper.storage import SignatureStore
 
@@ -39,28 +41,47 @@ class TestTasks:
     def test_task_tree_fig1(self):
         H, store, q, plan = make_executor(fig1=True)
         ex = HGMatchTaskExecutor(plan, store)
-        root = ex.root_task()
-        assert root.kind is TaskKind.SCAN
-        out = ex.execute(root)
+        assert ROOT == (0, ())  # step 0: SCAN of the empty embedding
+        out = ex.execute(ROOT)
         assert len(out.children) == 2  # partition {A,C} has e1, e2
-        assert all(t.kind is TaskKind.EXPAND for t in out.children)
+        # Step 1 of a 3-step plan: every child is an EXPAND task.
+        assert plan.n_steps == 3
+        assert all(step == 1 and len(m) == 1 for step, m in out.children)
 
     def test_sink_counts(self):
         H, store, q, plan = make_executor(fig1=True)
         ex = HGMatchTaskExecutor(plan, store)
-        out = ex.execute(Task(TaskKind.SINK, 3, (0, 2, 4)))
+        out = ex.execute((3, (0, 2, 4)))  # step n: SINK
         assert out.emitted == 1 and not out.children
 
     def test_payload_bytes_grow_with_depth(self):
-        t1 = Task(TaskKind.EXPAND, 1, (0,))
-        t2 = Task(TaskKind.EXPAND, 2, (0, 1))
-        assert t2.payload_nbytes(3.0) > t1.payload_nbytes(3.0)
+        t1 = (1, (0,))
+        t2 = (2, (0, 1))
+        assert payload_nbytes(t2, 3.0) > payload_nbytes(t1, 3.0)
 
     def test_costs_positive(self):
         H, store, q, plan = make_executor(fig1=True)
         ex = HGMatchTaskExecutor(plan, store)
-        out = ex.execute(ex.root_task())
+        out = ex.execute(ROOT)
         assert out.cost > 0
+
+    def test_single_hyperedge_query_scans_into_sink(self):
+        H = fig1_data()
+        store = SignatureStore(H)
+        q = Hypergraph(["A", "C"], [[0, 1]])
+        plan = compile_plan(q, [0])
+        ex = HGMatchTaskExecutor(plan, store)
+        out = ex.execute(ROOT)
+        assert out.children == [(1, (0,)), (1, (1,))]  # SINK tasks
+        assert all(ex.execute(t).emitted == 1 for t in out.children)
+        expected = hgmatch(H, store, q)
+        assert expected.count == 2
+        for p in (1, 3):
+            ex = HGMatchTaskExecutor(plan, store)
+            sim = simulate_workstealing(ex, p)
+            assert sim.emitted == expected.count
+            assert ex.stats == expected.stats + Counter(emitted=2)
+        assert simulate_bfs(HGMatchTaskExecutor(plan, store)).emitted == 2
 
 
 class TestConservation:
@@ -80,10 +101,16 @@ class TestConservation:
         if made is None:
             pytest.skip("no instance")
         H, store, q, plan = made
-        expected = hgmatch(H, store, q).count
+        expected = hgmatch(H, store, q)
         for p in (1, 4):
-            sim = simulate_workstealing(HGMatchTaskExecutor(plan, store), p)
-            assert sim.emitted == expected
+            ex = HGMatchTaskExecutor(plan, store)
+            sim = simulate_workstealing(ex, p)
+            assert sim.emitted == expected.count
+            # One expansion function: the task tree does the sequential
+            # engine's work, counted in the same schema.
+            for k in ("ops", "candidates", "filtered", "validated"):
+                assert ex.stats[k] == expected.stats[k], k
+            assert ex.stats["emitted"] == expected.count
 
     def test_seed_invariance_of_results(self):
         made = make_executor(dataset="SB", scale=0.3)

@@ -101,6 +101,13 @@ class TestCrossValidation:
             assert bft
             df, plan = spark_hgmatch(spark, sh, q)
             assert collect_embeddings_query_edge_order(df, plan) == bft
+        # A 1-ary hyperedge labelled "A,B" is not in the {A, B} partition.
+        H = Hypergraph(["A,B", "A", "B"], [[0], [1, 2]])
+        q = Hypergraph(["A", "B"], [[0, 1]])
+        _, bft = brute_force(H, q, collect=True)
+        assert bft == {(1,)}
+        df, plan = spark_hgmatch(spark, build_spark_hypergraph(spark, H), q)
+        assert collect_embeddings_query_edge_order(df, plan) == bft
 
     def test_catalog_dataset_vs_local_engine(self, spark):
         H = make_dataset("CH", scale=0.25, seed=0)

@@ -3,7 +3,7 @@
 import pytest
 from pyspark.sql import functions as F
 
-from repro.dist.stats import dataset_stats, partition_cardinalities
+from repro.dist.stats import dataset_stats
 from repro.dist.storage import build_spark_hypergraph, hypergraph_frames
 from repro.experiments.datasets import make_dataset
 from repro.hyper.model import fig1_data
@@ -44,14 +44,6 @@ class TestBuild:
 
 
 class TestOracle:
-    def test_partition_cardinalities_vs_sql(self, spark, wt):
-        _, sh, frames = wt
-        assert_equivalent(
-            partition_cardinalities(sh),
-            "SELECT sig, count(*)::BIGINT AS card FROM edges GROUP BY sig",
-            edges=frames["edges"][["eid", "sig"]],
-        )
-
     def test_index_relation_vs_sql(self, spark, wt):
         _, sh, frames = wt
         assert_equivalent(
