@@ -9,10 +9,13 @@ steps ``0..step-1``; step 0 is SCAN, step ``n`` is SINK and every other
 step is EXPAND. Both this engine and :mod:`repro.engine.tasks` process
 a task with :func:`expand_embedding`.
 
-The engine never recurses and never builds auxiliary runtime
-structures; each expansion is Alg. 4 (set-operation candidate
-generation) followed by Alg. 5 (profile validation), with operation
-counting for budgets ("timeouts") and for Exp-3's filtering statistics:
+The engine never recurses. Each expansion builds one map from every
+vertex of ``m``'s hyperedges to its step bitmask (the steps part of a
+Def. V.3 vertex profile) in O(sum of arities), then runs Alg. 4
+(set-operation candidate generation) and Alg. 5 (profile validation,
+O(arity) per candidate) against it. The map lives only for that
+expansion; a task stays ``(step, m)``. Operation counting serves budgets
+("timeouts") and Exp-3's filtering statistics:
 
 - ``stats['candidates']`` — candidates emitted by SCAN and Alg. 4
 - ``stats['filtered']``   — survivors of the vertex-count check (Obs. V.5)
@@ -26,7 +29,7 @@ from dataclasses import dataclass, field
 
 from repro.core.candidates import generate_candidates
 from repro.core.order import compute_matching_order
-from repro.core.plan import CompiledPlan, compile_plan
+from repro.core.plan import CompiledPlan, compile_plan, step_masks
 from repro.core.validate import exact_embedding_exists, is_valid_embedding
 from repro.hyper.model import Hypergraph
 from repro.hyper.storage import SignatureStore
@@ -67,15 +70,15 @@ def expand_embedding(
         return [(eid,) for eid in roots]
     H = store.H
     vsets = [H.edges[eid] for eid in m]
+    incid = step_masks(vsets)
     out: list[tuple[int, ...]] = []
-    for c in generate_candidates(step, vsets, store, stats):
+    for c in generate_candidates(step, vsets, store, stats, incid):
         if c in m:  # distinct data hyperedges per embedding tuple
             continue
-        new_vsets = vsets + [H.edges[c]]
         if validation == "profile":
-            ok = is_valid_embedding(step, new_vsets, H, stats)
+            ok = is_valid_embedding(step, incid, H.edges[c], stats, H=H)
         elif validation == "exact":
-            ok = exact_embedding_exists(plan, new_vsets, H)
+            ok = exact_embedding_exists(plan, vsets + [H.edges[c]], H)
             if stats is not None and ok:
                 stats["filtered"] += 1
                 stats["validated"] += 1

@@ -4,6 +4,8 @@ Everything in candidate generation and validation that depends only on
 the query hypergraph ``q`` and the matching order ``phi`` — adjacency
 relations, partial-query vertex degrees, expected vertex counts and the
 query-side vertex-profile multisets — is computed once here, driver
+side. A profile's steps are a bitmask (bit ``j`` for step ``j``, see
+:func:`step_masks`), the encoding Alg. 4 and Alg. 5 read on the data
 side. Both the sequential engine and the Spark dataflow engine execute
 the same :class:`CompiledPlan`, which is also what makes the Spark
 EXPAND step expressible as pure Catalyst expressions (all query-side
@@ -12,8 +14,26 @@ quantities become literals).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.hyper.model import Hypergraph, Signature
+
+
+def step_masks(vsets: Iterable[Iterable[int]]) -> dict[int, int]:
+    """Vertex -> step bitmask: bit ``j`` is set when ``vsets[j]`` holds
+    the vertex. The steps part of a Def. V.3 vertex profile; its
+    popcount is the partial degree ``d(v)`` of Obs. V.4."""
+    masks: dict[int, int] = {}
+    for j, vs in enumerate(vsets):
+        bit = 1 << j
+        for v in vs:
+            masks[v] = masks.get(v, 0) | bit
+    return masks
+
+
+def mask_steps(mask: int) -> tuple[int, ...]:
+    """The ascending steps whose bit is set in ``mask``."""
+    return tuple(j for j in range(mask.bit_length()) if mask >> j & 1)
 
 
 @dataclass(frozen=True)
@@ -41,8 +61,11 @@ class PlanStep:
     constraints: tuple[Constraint, ...]
     expected_vcount: int          # |V(q')| after this step (Obs. V.5)
     # Sorted query-side vertex-profile multiset for phi[i]'s vertices:
-    # (label, ascending steps j <= i whose hyperedge contains u).
-    expected_profiles: tuple[tuple[str, tuple[int, ...]], ...]
+    # (label, bitmask of the steps j <= i whose hyperedge contains u).
+    expected_profiles: tuple[tuple[str, int], ...]
+    # Sum of |phi[j]| over j <= i; equal signatures make it the size sum
+    # of any candidate's matched vertex sets (Alg. 5's op charge).
+    sum_arity: int
 
 
 @dataclass(frozen=True)
@@ -62,33 +85,26 @@ def compile_plan(q: Hypergraph, phi: list[int] | tuple[int, ...]) -> CompiledPla
     if sorted(phi) != list(range(q.n_edges)):
         raise ValueError(f"phi must be a permutation of 0..{q.n_edges - 1}, got {phi}")
     steps: list[PlanStep] = []
-    covered: set[int] = set()
+    masks: dict[int, int] = {}  # query vertex -> steps holding it so far
+    sum_arity = 0
     for i, eq in enumerate(phi):
         e = q.edges[eq]
         non_adj = tuple(
             j for j in range(i) if not (q.edges[phi[j]] & e)
         )
-        # Partial-query degree of u over phi[0..i-1].
-        deg_qp = {u: sum(1 for j in range(i) if u in q.edges[phi[j]]) for u in e}
         cons: list[Constraint] = []
         seen: set[Constraint] = set()
         for j in range(i):
             shared = q.edges[phi[j]] & e
             for u in sorted(shared):
-                c = Constraint(j=j, label=q.label(u), degree=deg_qp[u])
+                # Degree: partial-query degree of u over phi[0..i-1].
+                c = Constraint(j=j, label=q.label(u), degree=masks[u].bit_count())
                 if c not in seen:  # identical terms give identical sets
                     seen.add(c)
                     cons.append(c)
-        new_covered = covered | e
-        profiles = tuple(
-            sorted(
-                (
-                    q.label(u),
-                    tuple(j for j in range(i + 1) if u in q.edges[phi[j]]),
-                )
-                for u in e
-            )
-        )
+        for u in e:
+            masks[u] = masks.get(u, 0) | 1 << i
+        sum_arity += len(e)
         steps.append(
             PlanStep(
                 i=i,
@@ -96,9 +112,9 @@ def compile_plan(q: Hypergraph, phi: list[int] | tuple[int, ...]) -> CompiledPla
                 sig=q.signature(eq),
                 non_adjacent=non_adj,
                 constraints=tuple(cons),
-                expected_vcount=len(new_covered),
-                expected_profiles=profiles,
+                expected_vcount=len(masks),
+                expected_profiles=tuple(sorted((q.label(u), masks[u]) for u in e)),
+                sum_arity=sum_arity,
             )
         )
-        covered = new_covered
     return CompiledPlan(q=q, phi=phi, steps=tuple(steps))

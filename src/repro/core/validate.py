@@ -5,19 +5,29 @@ cheap vertex-count test (Obs. V.5) followed by multiset equality of
 vertex profiles (Def. V.3) between the newly matched query hyperedge
 and the candidate data hyperedge.
 
+A profile is ``(label, S)`` with ``S`` the steps whose matched
+hyperedge holds the vertex, encoded as a bitmask (bit ``j`` for step
+``j``). The engine builds the parent's vertex -> mask map once per
+expansion, in O(sum of arities) (:func:`~repro.core.plan.step_masks`).
+A candidate at step ``i`` adds only bit ``i``, and only for its own
+vertices, so its check costs O(arity): the covered-vertex count is the
+map's size plus the candidate's vertices missing from it, and a
+vertex's profile is ``(label, mask | 1 << i)``.
+
 Why this is exactly correct (sketch, expanding the paper's proof):
 each vertex's profile only changes at steps where it lies in the newly
 added hyperedge, so it is re-checked at every step where it changes —
 in particular with its *final* profile at its last incidence step. A
 counting argument over profile classes ``(label, S)`` with
-``i* = max(S)`` shows the per-step multiset equalities determine the
-multiset of final profiles on both sides; equal final-profile multisets
-admit a within-class bijection, which maps ``phi[j]`` onto ``m[j]``
-exactly for every ``j`` — i.e. a valid embedding. Conversely a valid
-embedding induces profile-preserving correspondences at every step.
-``exact_embedding_exists`` (a small backtracking bijection search) is
-kept as an independent oracle; the test suite asserts the two always
-agree.
+``i* = max(S)`` (the mask's highest bit) shows the per-step multiset
+equalities determine the multiset of final profiles on both sides;
+equal final-profile multisets admit a within-class bijection, which
+maps ``phi[j]`` onto ``m[j]`` exactly for every ``j`` — i.e. a valid
+embedding. Conversely a valid embedding induces profile-preserving
+correspondences at every step. The mask is a lossless encoding of
+``S``, so the argument holds unchanged. ``exact_embedding_exists`` (a
+small backtracking bijection search) is kept as an independent oracle;
+the test suite asserts the two always agree.
 """
 from __future__ import annotations
 
@@ -28,43 +38,37 @@ from repro.core.plan import CompiledPlan, PlanStep
 from repro.hyper.model import Hypergraph
 
 
-def data_vertex_profiles(
-    step: PlanStep,
-    new_vsets: Sequence[frozenset[int]],
-    H: Hypergraph,
-) -> list[tuple[str, tuple[int, ...]]]:
-    """Profiles ``P(v) = (l(v), steps whose matched hyperedge holds v)``
-    for each vertex of the newly matched data hyperedge
-    (``new_vsets[step.i]``), computed over ``new_vsets[0..i]``."""
-    out = []
-    for v in new_vsets[step.i]:
-        incid = tuple(j for j in range(step.i + 1) if v in new_vsets[j])
-        out.append((H.label(v), incid))
-    return out
-
-
 def is_valid_embedding(
     step: PlanStep,
-    new_vsets: Sequence[frozenset[int]],
-    H: Hypergraph,
+    incid: dict[int, int],
+    vs: frozenset[int],
     stats: Counter | None = None,
+    *,
+    H: Hypergraph,
 ) -> bool:
     """Alg. 5: vertex-count check then profile-multiset equality.
 
-    ``new_vsets`` holds the matched images of steps ``0..step.i``
-    (candidate already appended). ``stats`` tracks how many embeddings
-    survive each check (Exp-3's 'Filtered' vs 'Embeddings' series).
+    ``incid`` maps each vertex of the matched hyperedges of steps
+    ``0..step.i-1`` to its step bitmask; ``vs`` is the candidate's
+    vertex set. ``stats`` tracks how many embeddings survive each check
+    (Exp-3's 'Filtered' vs 'Embeddings' series) and charges the
+    set-based op model: the union over all ``step.i + 1`` vertex sets,
+    then one membership test per step and candidate vertex.
     """
-    nv = len(frozenset().union(*new_vsets))
+    nv = len(incid)
+    for v in vs:
+        if v not in incid:
+            nv += 1
     if stats is not None:
-        stats["ops"] += sum(len(vs) for vs in new_vsets)
+        stats["ops"] += step.sum_arity
     if nv != step.expected_vcount:
         return False
     if stats is not None:
         stats["filtered"] += 1  # passed the Obs. V.5 check
-    got = sorted(data_vertex_profiles(step, new_vsets, H))
-    if stats is not None:
-        stats["ops"] += (step.i + 1) * len(new_vsets[step.i])
+        stats["ops"] += (step.i + 1) * len(vs)
+    bit = 1 << step.i
+    labels = H.labels
+    got = sorted([(labels[v], incid.get(v, 0) | bit) for v in vs])
     if tuple(got) != step.expected_profiles:
         return False
     if stats is not None:

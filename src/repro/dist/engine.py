@@ -33,7 +33,7 @@ from pyspark.sql import functions as F
 
 from repro.core.local_engine import MatchResult, embeddings_in_query_edge_order
 from repro.core.order import compute_matching_order
-from repro.core.plan import CompiledPlan, Constraint, PlanStep, compile_plan
+from repro.core.plan import CompiledPlan, Constraint, PlanStep, compile_plan, mask_steps
 from repro.dist.storage import SparkHypergraph, sig_str
 from repro.hyper.model import Hypergraph
 
@@ -92,7 +92,10 @@ def _profiles_match(step: PlanStep) -> Column:
                 F.lit(label).alias("label"),
                 F.array(*[F.lit(j) for j in steps]).alias("steps"),
             )
-            for label, steps in step.expected_profiles
+            # In sort_array's order for the data side: by (label, steps).
+            for label, steps in sorted(
+                (label, mask_steps(mask)) for label, mask in step.expected_profiles
+            )
         ]
     )
     return data == query

@@ -2,7 +2,7 @@
 import pytest
 
 from repro.core.order import compute_matching_order
-from repro.core.plan import compile_plan
+from repro.core.plan import compile_plan, mask_steps, step_masks
 from repro.hyper.model import Hypergraph, fig1_data, fig1_query
 from repro.hyper.storage import SignatureStore
 
@@ -36,6 +36,8 @@ class TestCompile:
         q, plan = fig1_plan
         for step in plan.steps:
             assert len(step.expected_profiles) == q.arity(step.eq)
+            for label, mask in step.expected_profiles:
+                assert isinstance(label, str) and isinstance(mask, int)
 
     def test_profiles_sorted(self, fig1_plan):
         _, plan = fig1_plan
@@ -43,10 +45,17 @@ class TestCompile:
             assert list(step.expected_profiles) == sorted(step.expected_profiles)
 
     def test_profile_positions_include_current_step(self, fig1_plan):
-        _, plan = fig1_plan
+        q, plan = fig1_plan
         for step in plan.steps:
-            for _, positions in step.expected_profiles:
-                assert step.i in positions
+            for _, mask in step.expected_profiles:
+                positions = mask_steps(mask)
+                assert positions[-1] == step.i  # no bit above step i
+        # Each vertex's mask holds exactly the steps whose hyperedge
+        # contains it.
+        last = plan.steps[-1]
+        masks = step_masks(q.edges[eq] for eq in plan.phi)
+        expected = sorted((q.label(u), masks[u]) for u in q.edges[last.eq])
+        assert list(last.expected_profiles) == expected
 
     def test_constraint_degrees_are_partial_query_degrees(self):
         # Query: triangle of 2-edges; at step 2, shared vertices have

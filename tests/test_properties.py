@@ -7,9 +7,11 @@ bijection oracle, storage invariants, and scheduler conservation.
 from hypothesis import given, settings, strategies as st
 
 from repro.baselines.bruteforce import brute_force
+from repro.core.candidates import generate_candidates
 from repro.core.local_engine import embeddings_in_query_edge_order, hgmatch
 from repro.core.order import compute_matching_order
-from repro.core.plan import compile_plan
+from repro.core.plan import compile_plan, step_masks
+from repro.core.validate import exact_embedding_exists, is_valid_embedding
 from repro.engine.scheduler import simulate_workstealing
 from repro.engine.tasks import HGMatchTaskExecutor
 from repro.hyper.model import Hypergraph
@@ -20,14 +22,19 @@ from repro.hyper.storage import SignatureStore
 # an engine that encodes label multisets as joined strings conflates
 # e.g. one "A,B" vertex with an "A" and a "B" vertex.
 ADVERSARIAL_ALPHABET = ["A", "A,B", "x|0", "E|A", "ü", ""]
+# Two-label slices of it, so that labels repeat and the label checks
+# of Alg. 4/5, not signatures alone, decide most candidates.
+ADVERSARIAL_PAIRS = [
+    ADVERSARIAL_ALPHABET[a : a + 2] for a in range(0, len(ADVERSARIAL_ALPHABET), 2)
+]
 
 
 @st.composite
-def small_hypergraphs(draw):
-    """Tiny labelled hypergraphs with arity <= 4, labelled from either
-    {A, B} or the adversarial alphabet."""
+def small_hypergraphs(draw, alphabets=(["A", "B"], ADVERSARIAL_ALPHABET)):
+    """Tiny labelled hypergraphs with arity <= 4, labelled from one of
+    ``alphabets``: by default either {A, B} or the adversarial one."""
     n = draw(st.integers(4, 9))
-    alphabet = draw(st.sampled_from([["A", "B"], ADVERSARIAL_ALPHABET]))
+    alphabet = draw(st.sampled_from(alphabets))
     labels = [draw(st.sampled_from(alphabet)) for _ in range(n)]
     n_edges = draw(st.integers(2, 7))
     edges: list[frozenset[int]] = []
@@ -73,6 +80,39 @@ def test_hgmatch_agrees_with_brute_force(H, k):
     r = hgmatch(H, store, q, collect=True)
     assert r.count == bf
     assert embeddings_in_query_edge_order(r) == bft
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    small_hypergraphs(alphabets=[ADVERSARIAL_ALPHABET, *ADVERSARIAL_PAIRS]),
+    st.integers(2, 5),
+    st.data(),
+)
+def test_incremental_alg5_equals_exact(H, k, data):
+    """Theorem V.2 for the step-bitmask Alg. 5: on every candidate
+    reachable through Alg. 4, under any matching order (a disconnected
+    prefix scans the whole partition), it agrees with the exact
+    bijection oracle."""
+    q = connected_query_from(H, min(k, H.n_edges))
+    if q is None:
+        return
+    store = SignatureStore(H)
+    plan = compile_plan(q, data.draw(st.permutations(range(q.n_edges))))
+    stack = [(eid,) for eid in store.scan(plan.steps[0].sig)]
+    while stack:
+        m = stack.pop()
+        if len(m) == plan.n_steps:
+            continue
+        step = plan.steps[len(m)]
+        vsets = [H.edges[eid] for eid in m]
+        incid = step_masks(vsets)
+        for c in generate_candidates(step, vsets, store, None, incid):
+            if c in m:
+                continue
+            ok = is_valid_embedding(step, incid, H.edges[c], H=H)
+            assert ok == exact_embedding_exists(plan, vsets + [H.edges[c]], H)
+            if ok:
+                stack.append(m + (c,))
 
 
 @settings(max_examples=60, deadline=None)

@@ -9,14 +9,16 @@ from collections import Counter
 from tests.helpers import small_instance
 from repro.core.candidates import generate_candidates
 from repro.core.order import compute_matching_order
-from repro.core.plan import compile_plan
-from repro.core.validate import (
-    data_vertex_profiles,
-    exact_embedding_exists,
-    is_valid_embedding,
-)
+from repro.core.plan import compile_plan, mask_steps, step_masks
+from repro.core.validate import exact_embedding_exists, is_valid_embedding
 from repro.hyper.model import Hypergraph, fig1_data, fig1_query
-from repro.hyper.storage import SignatureStore
+
+
+def validate(step, new_vsets, H, stats=None):
+    """Alg. 5 on ``new_vsets`` (candidate last), with the parent's step
+    bitmasks built as the engine builds them."""
+    incid = step_masks(new_vsets[:-1])
+    return is_valid_embedding(step, incid, new_vsets[-1], stats, H=H)
 
 
 class TestFig1:
@@ -24,14 +26,14 @@ class TestFig1:
         H, q = fig1_data(), fig1_query()
         plan = compile_plan(q, [0, 1, 2])
         new_vsets = [H.edges[0], H.edges[2], H.edges[4]]  # (e1,e3,e5)
-        assert is_valid_embedding(plan.steps[2], new_vsets, H)
+        assert validate(plan.steps[2], new_vsets, H)
 
     def test_cross_branch_mix_rejected(self):
         H, q = fig1_data(), fig1_query()
         plan = compile_plan(q, [0, 1, 2])
         # (e1, e3, e6): e6 does not contain f(u0)=v0 -> invalid.
         new_vsets = [H.edges[0], H.edges[2], H.edges[5]]
-        assert not is_valid_embedding(plan.steps[2], new_vsets, H)
+        assert not validate(plan.steps[2], new_vsets, H)
         assert not exact_embedding_exists(plan, new_vsets, H)
 
     def test_vertex_count_check_obs_v5(self):
@@ -39,20 +41,26 @@ class TestFig1:
         plan = compile_plan(q, [0, 1, 2])
         stats = Counter()
         # Valid branch passes both stages; counters advance.
-        is_valid_embedding(
-            plan.steps[2], [H.edges[0], H.edges[2], H.edges[4]], H, stats
-        )
+        validate(plan.steps[2], [H.edges[0], H.edges[2], H.edges[4]], H, stats)
         assert stats["filtered"] == 1
         assert stats["validated"] == 1
 
     def test_data_vertex_profiles_contents(self):
         H, q = fig1_data(), fig1_query()
         plan = compile_plan(q, [0, 1, 2])
-        profs = data_vertex_profiles(
-            plan.steps[1], [H.edges[0], H.edges[2]], H
-        )
-        # e3 = {v0, v1, v2}; v2 also in e1 (step 0).
-        assert sorted(profs) == [("A", (0, 1)), ("A", (1,)), ("B", (1,))]
+        incid = step_masks([H.edges[0], H.edges[2]])
+        profs = sorted((H.label(v), incid[v]) for v in H.edges[2])
+        # e3 = {v0, v1, v2}; v2 also in e1 (step 0): steps {0, 1} = 0b11.
+        assert profs == [("A", 0b10), ("A", 0b11), ("B", 0b10)]
+        assert sorted((lbl, mask_steps(mask)) for lbl, mask in profs) == [
+            ("A", (0, 1)),
+            ("A", (1,)),
+            ("B", (1,)),
+        ]
+        # Alg. 5 builds the same profiles from the parent's masks plus
+        # the current step's bit, and they equal the query side's.
+        assert tuple(profs) == plan.steps[1].expected_profiles
+        assert validate(plan.steps[1], [H.edges[0], H.edges[2]], H)
 
 
 class TestEquivalenceWithExact:
@@ -72,11 +80,16 @@ class TestEquivalenceWithExact:
                 nxt = []
                 for m in frontier[:50]:
                     vsets = [H.edges[e] for e in m]
-                    for c in generate_candidates(plan.steps[i], vsets, store):
+                    incid = step_masks(vsets)
+                    for c in generate_candidates(
+                        plan.steps[i], vsets, store, None, incid
+                    ):
                         if c in m:
                             continue
                         new = vsets + [H.edges[c]]
-                        prof = is_valid_embedding(plan.steps[i], new, H)
+                        prof = is_valid_embedding(
+                            plan.steps[i], incid, H.edges[c], H=H
+                        )
                         exact = exact_embedding_exists(plan, new, H)
                         assert prof == exact, (seed, m, c)
                         agreements += 1
@@ -91,7 +104,7 @@ class TestEquivalenceWithExact:
         q = Hypergraph(["A", "A", "A"], [[0, 1], [1, 2]])
         plan = compile_plan(q, [0, 1])
         new_vsets = [H.edges[0], H.edges[0]]
-        assert not is_valid_embedding(plan.steps[1], new_vsets, H)
+        assert not validate(plan.steps[1], new_vsets, H)
 
 
 class TestExactChecker:
