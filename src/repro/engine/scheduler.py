@@ -17,12 +17,31 @@ genuine work distribution; Exp-4's speedups are
 beyond 20 threads = one physical socket) multiplies task costs for
 workers beyond ``numa_threshold`` — DESIGN.md substitution #7.
 
+Event queue: the next task runs on the worker with the least
+``(start_time, w)``, where ``start_time = max(clock, head ready time)``.
+A heap holds an entry for every worker with work: one is pushed after
+the worker executes a task and after it steals. An entry is *stale*
+once its worker's queue is empty or its time no longer equals the
+worker's start time, and is skipped when popped. A victim keeps at
+least one task, so its head, and its entry, stay valid. The least valid
+entry is thus exactly the scan ``min((start_time(w), w))`` over all
+workers with work, tie-break on ``w`` included.
+
+Steal phase: before each task, every idle worker in ascending order
+steals from a victim drawn among the workers holding more than one
+task. The phase runs only while the incrementally kept counts of idle
+workers and of such victims are both non-zero. That gate is exact: a
+phase without an idle worker or without a victim steals nothing, draws
+no random number and changes no state. Per task the simulator costs
+O(log p), plus O(p) per idle thief only in a phase that can steal.
+
 Memory accounting: the live byte total of queued task payloads is
 maintained incrementally; its peak is the Thm. VI.1 quantity. The BFS
 strawman (Exp-5) materialises every intermediate-result level instead.
 """
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -92,6 +111,11 @@ def simulate_workstealing(
     clocks = [0.0] * n_workers
     busy = [0.0] * n_workers
     steal_time = [0.0] * n_workers
+    # NUMA model: task cost multiplier per worker.
+    mult = [
+        numa_penalty if numa_threshold is not None and w >= numa_threshold else 1.0
+        for w in range(n_workers)
+    ]
     live_bytes = 0
     peak_bytes = 0
     n_tasks = 0
@@ -99,24 +123,21 @@ def simulate_workstealing(
     emitted = 0
     total_cost = 0.0
 
-    def cost_multiplier(w: int) -> float:
-        if numa_threshold is not None and w >= numa_threshold:
-            return numa_penalty
-        return 1.0
-
     def push(w: int, tasks: list[tuple], ready: float) -> None:
         nonlocal live_bytes, peak_bytes
-        for t in reversed(tasks):  # head-insert preserving child order
-            queues[w].appendleft((t, ready))
-            live_bytes += payload_nbytes(t, aq)
+        queues[w].extendleft((t, ready) for t in reversed(tasks))  # head, in order
+        live_bytes += sum(payload_nbytes(t, aq) for t in tasks)
         peak_bytes = max(peak_bytes, live_bytes)
+
+    def start_time(w: int) -> float:
+        return max(clocks[w], queues[w][0][1])
 
     # Seed: SCAN executes on worker 0; its children either stay (steal
     # mode) or are scattered round-robin (static NOSTL mode).
     root_out = executor.execute(ROOT)
     total_cost += root_out.cost
     busy[0] += root_out.cost
-    clocks[0] += root_out.cost * cost_multiplier(0)
+    clocks[0] += root_out.cost * mult[0]
     n_tasks += 1
     if scatter_roots:
         for i, t in enumerate(root_out.children):
@@ -126,11 +147,12 @@ def simulate_workstealing(
     else:
         push(0, root_out.children, clocks[0])
 
+    heap = [(start_time(w), w) for w in range(n_workers) if queues[w]]
+    heapq.heapify(heap)
+    n_idle = sum(1 for q in queues if not q)
+    n_multi = sum(1 for q in queues if len(q) > 1)  # possible victims
     while True:
-        nonempty = [w for w in range(n_workers) if queues[w]]
-        if not nonempty:
-            break
-        if steal:
+        if steal and n_idle and n_multi:
             # Every idle worker steals half a victim's deque (tail end);
             # steal timing is reflected through task ready times and the
             # thief's own clock, so no clock gate is needed here.
@@ -140,7 +162,7 @@ def simulate_workstealing(
                 victims = [x for x in range(n_workers) if len(queues[x]) > 1]
                 if not victims:
                     continue
-                v = int(rng.choice(victims))
+                v = victims[int(rng.integers(len(victims)))]
                 take = len(queues[v]) // 2
                 stolen = [queues[v].pop() for _ in range(take)]  # tail
                 queues[w].extend(reversed(stolen))  # keep relative order
@@ -150,22 +172,35 @@ def simulate_workstealing(
                 clocks[w] += STEAL_OVERHEAD
                 steal_time[w] += STEAL_OVERHEAD
                 n_steals += 1
-            nonempty = [w for w in range(n_workers) if queues[w]]
-        # Next event: the worker able to *finish* soonest is a good
-        # greedy proxy; we use the earliest (clock, ready) start.
-        def start_time(w: int) -> float:
-            return max(clocks[w], queues[w][0][1])
-
-        w = min(nonempty, key=lambda x: (start_time(x), x))
-        task, ready = queues[w].popleft()
+                heapq.heappush(heap, (start_time(w), w))
+            # Recount: O(p), against the phase's O(p) per idle thief.
+            n_idle = sum(1 for q in queues if not q)
+            n_multi = sum(1 for q in queues if len(q) > 1)
+        # Next event: the earliest (start_time, w), skipping stale entries.
+        while heap:
+            t, w = heapq.heappop(heap)
+            if queues[w] and t == start_time(w):
+                break
+        else:
+            break
+        queue = queues[w]
+        was_multi = len(queue) > 1
+        task, ready = queue.popleft()
         live_bytes -= payload_nbytes(task, aq)
         out = executor.execute(task)
         n_tasks += 1
         total_cost += out.cost
         busy[w] += out.cost
-        clocks[w] = max(clocks[w], ready) + out.cost * cost_multiplier(w)
+        clocks[w] = max(clocks[w], ready) + out.cost * mult[w]
         emitted += out.emitted
-        push(w, out.children, clocks[w])
+        if out.children:
+            push(w, out.children, clocks[w])
+        if queue:
+            heapq.heappush(heap, (start_time(w), w))
+        else:
+            n_idle += 1
+        n_multi += (len(queue) > 1) - was_multi
+    assert not any(queues), "a queued task lost its heap entry"
 
     return SimResult(
         n_workers=n_workers,

@@ -1,6 +1,9 @@
 """Tests for the task model + LIFO scheduler + work stealing
 (paper Section VI, Theorem VI.1, Exps 4-6)."""
+import json
 from collections import Counter
+from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
@@ -219,3 +222,69 @@ class TestLoadBalancing:
         sim = simulate_workstealing(HGMatchTaskExecutor(plan, store), 4)
         if sim.n_steals:
             assert sum(sim.steal_time) > 0
+
+
+# Simulator outputs recorded before the event-queue rewrite of
+# simulate_workstealing; the rewrite must reproduce the same schedule.
+PINNED_PATH = Path(__file__).with_name("scheduler_pinned.json")
+PINNED_INPUTS = (
+    ["fig1"]
+    + [f"small-{seed}-q{n}" for seed in range(6) for n in (3, 4)]
+    + ["SB-0.3"]
+)
+PINNED_CONFIGS = {
+    **{
+        f"p{p}-seed{s}": dict(n_workers=p, seed=s)
+        for p in (1, 3, 8, 20)
+        for s in (0, 1)
+    },
+    "p20-nostl": dict(n_workers=20, steal=False, scatter_roots=True),
+    "p20-numa4": dict(n_workers=20, numa_threshold=4),
+}
+SIM_FIELDS = (
+    "makespan", "n_steals", "n_tasks", "peak_task_bytes",
+    "emitted", "total_cost", "busy", "steal_time",
+)
+
+
+def pinned_outputs(name: str) -> dict:
+    """Every pinned configuration's outputs on one named input."""
+    if name == "fig1":
+        made = make_executor(fig1=True)
+    elif name == "SB-0.3":
+        made = make_executor(dataset="SB", scale=0.3)
+    else:
+        _, seed, n = name.split("-")
+        made = make_executor(int(seed), n_edges_q=int(n[1:]))
+    H, store, q, plan = made
+    out = {}
+    for key, kw in PINNED_CONFIGS.items():
+        sim = simulate_workstealing(HGMatchTaskExecutor(plan, store), **kw)
+        out[key] = {f: getattr(sim, f) for f in SIM_FIELDS}
+    out["bfs"] = asdict(simulate_bfs(HGMatchTaskExecutor(plan, store)))
+    return out
+
+
+class TestPinned:
+    """Exact virtual-time schedules: tie-breaks, steal order, RNG draws."""
+
+    @pytest.fixture(scope="class")
+    def pinned(self):
+        return json.loads(PINNED_PATH.read_text())
+
+    @pytest.mark.parametrize("name", PINNED_INPUTS)
+    def test_outputs_pinned(self, pinned, name):
+        assert pinned_outputs(name) == pinned[name]
+
+
+if __name__ == "__main__":
+    # Re-record the pins: ``PYTHONPATH=src python -m tests.test_scheduler``.
+    # One line per (input, configuration) keeps diffs readable.
+    blocks = []
+    for name in PINNED_INPUTS:
+        rows = ",\n".join(
+            f"  {json.dumps(k)}: {json.dumps(v)}"
+            for k, v in pinned_outputs(name).items()
+        )
+        blocks.append(f" {json.dumps(name)}: {{\n{rows}\n }}")
+    PINNED_PATH.write_text("{\n" + ",\n".join(blocks) + "\n}\n")
