@@ -12,14 +12,21 @@ runs Alg. 4 + Alg. 5 as one pipeline:
    that no non-adjacent step covers (Alg. 4 line 5); the per-constraint
    results are concatenated into one ``array<struct(ck, v)>`` and
    ``inline``-d once;
-2. *posting-list union* — join the signature's inverted-index
-   postings on ``v`` (Alg. 4 line 6);
+2. *posting-list union* — join, on ``v``, the postings of the
+   signature's partition, read from ``edges`` exploded on ``vs`` with
+   each posting carrying its hyperedge's ``vs``/``ls`` as ``cvs``/``cls``
+   (Alg. 4 line 6);
 3. *intersection* — ``groupBy(emb, eid)`` keeping candidates with
    ``size(collect_set(ck)) = K`` (Alg. 4 line 7); ``vsets``/``lsets``
-   ride through the aggregate since ``emb`` determines them;
-4. *validation* — the vertex-count check (Obs. V.5), then the sorted
-   ``struct(label, steps)`` profile multiset against the plan's
-   literal expected profiles (Alg. 5).
+   ride through the aggregate since ``emb`` determines them, and
+   ``cvs``/``cls`` since ``eid`` determines them;
+4. *validation* — append the candidate to the row, then the
+   vertex-count check (Obs. V.5) and the sorted ``struct(label,
+   steps)`` profile multiset against the plan's literal expected
+   profiles (Alg. 5). No join: the payload came with the postings.
+
+A step thus costs three exchanges: both sides of the ``v`` join and the
+aggregate.
 
 Query-side quantities are literals from the
 :class:`~repro.core.plan.CompiledPlan`, built with the Column API (no
@@ -34,7 +41,7 @@ from pyspark.sql import functions as F
 from repro.core.local_engine import MatchResult, embeddings_in_query_edge_order
 from repro.core.order import compute_matching_order
 from repro.core.plan import CompiledPlan, Constraint, PlanStep, compile_plan, mask_steps
-from repro.dist.storage import SparkHypergraph, sig_str
+from repro.dist.storage import SparkHypergraph, postings, sig_str
 from repro.hyper.model import Hypergraph
 
 
@@ -109,31 +116,36 @@ def _expand(sh: SparkHypergraph, step: PlanStep, cur: DataFrame) -> DataFrame:
     tagged = F.concat(
         *[_tagged_candidates(step, ck, c) for ck, c in enumerate(step.constraints)]
     )
-    postings = sh.index.where(F.col("sig") == s).select("v", "eid")
-    # Posting-list union + intersection (Alg. 4 l.6-7), keyed by emb.
-    # collect_set, not countDistinct: next to ``first``, a distinct
-    # aggregate is planned as two aggregations with one more shuffle.
-    cands = (
+    # The partition's postings, each carrying its hyperedge's vertex and
+    # label arrays; posting-list union + intersection (Alg. 4 l.6-7),
+    # keyed by emb. collect_set, not countDistinct: next to ``first``, a
+    # distinct aggregate is planned as two aggregations with one more
+    # shuffle.
+    cand_postings = postings(
+        sh.edges.where(F.col("sig") == s),
+        F.col("vs").alias("cvs"),
+        F.col("ls").alias("cls"),
+    ).drop("sig")
+    joined = (
         cur.select("emb", "vsets", "lsets", F.inline(tagged))
-        .join(postings, "v")
+        .join(cand_postings, "v")
         .where(~F.array_contains("emb", F.col("eid")))
         .groupBy("emb", "eid")
         .agg(
             F.size(F.collect_set("ck")).alias("nck"),
             F.first("vsets").alias("vsets"),
             F.first("lsets").alias("lsets"),
+            F.first("cvs").alias("cvs"),
+            F.first("cls").alias("cls"),
         )
         .where(F.col("nck") == len(step.constraints))
-    )
-    cand_edges = sh.edges.where(F.col("sig") == s).select(
-        "eid", F.col("vs").alias("cvs"), F.col("ls").alias("cls")
-    )
-    joined = cands.join(cand_edges, "eid").select(
-        F.concat("emb", F.array("eid")).alias("emb"),
-        F.concat("vsets", F.array("cvs")).alias("vsets"),
-        F.concat("lsets", F.array("cls")).alias("lsets"),
-        "cvs",
-        "cls",
+        .select(
+            F.concat("emb", F.array("eid")).alias("emb"),
+            F.concat("vsets", F.array("cvs")).alias("vsets"),
+            F.concat("lsets", F.array("cls")).alias("lsets"),
+            "cvs",
+            "cls",
+        )
     )
     # Validation (Alg. 5): Obs. V.5 vertex count, then profile multiset.
     vcount_ok = F.size(F.array_distinct(F.flatten("vsets"))) == step.expected_vcount

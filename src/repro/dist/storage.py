@@ -11,9 +11,11 @@ Three relations mirror the paper's indexed data hypergraph:
   list of ``he(v, s)`` is the ``eid`` set for a ``(sig, v)`` pair;
 - ``labels(v, label)`` — the vertex-label relation.
 
-The incidence relation ``incidence(eid, v)`` is also exposed because
-the DuckDB oracle verifies index construction and dataset statistics
-against plain SQL over it.
+Both ``index`` and the EXPAND operator read postings through
+:func:`postings`, which explodes ``edges`` on ``vs``; EXPAND also keeps
+each posting's hyperedge payload on the row. The pandas frames also
+hold ``incidence(eid, v)``, because the DuckDB oracle verifies index
+construction and dataset statistics against plain SQL over it.
 """
 from __future__ import annotations
 
@@ -21,7 +23,8 @@ import json
 from dataclasses import dataclass
 
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import Column, DataFrame, SparkSession
+from pyspark.sql import functions as F
 
 from repro.hyper.model import Hypergraph, Signature
 
@@ -45,6 +48,13 @@ class SparkHypergraph:
         """``sig -> Card`` from partition metadata (Def. V.2)."""
         rows = self.edges.groupBy("sig").count().collect()
         return {r["sig"]: r["count"] for r in rows}
+
+
+def postings(edges: DataFrame, *payload: Column) -> DataFrame:
+    """The postings ``(sig, v, eid)`` of the hyperedges in ``edges``, one
+    row per member vertex, each also carrying the ``payload`` columns of
+    its hyperedge row."""
+    return edges.select("sig", F.explode("vs").alias("v"), "eid", *payload)
 
 
 def hypergraph_frames(H: Hypergraph) -> dict[str, pd.DataFrame]:
@@ -78,18 +88,11 @@ def build_spark_hypergraph(spark: SparkSession, H: Hypergraph) -> SparkHypergrap
     """Offline preprocessing stage: load + partition + index, on Spark."""
     frames = hypergraph_frames(H)
     edges = spark.createDataFrame(frames["edges"])
-    # Inverted hyperedge index: explode membership, keep the signature —
-    # a (sig, v) group is one posting list.
-    incidence = spark.createDataFrame(frames["incidence"])
-    index = (
-        edges.select("eid", "sig")
-        .join(incidence, "eid")
-        .select("sig", "v", "eid")
-    )
     labels = spark.createDataFrame(frames["labels"])
     return SparkHypergraph(
         edges=edges,
-        index=index,
+        # Inverted hyperedge index: a (sig, v) group is one posting list.
+        index=postings(edges),
         labels=labels,
         n_vertices=H.n_vertices,
         n_edges=H.n_edges,

@@ -36,7 +36,9 @@ no random number and changes no state. Per task the simulator costs
 O(log p), plus O(p) per idle thief only in a phase that can steal.
 
 Memory accounting: the live byte total of queued task payloads is
-maintained incrementally; its peak is the Thm. VI.1 quantity. The BFS
+maintained incrementally; its peak is the Thm. VI.1 quantity. A task's
+payload size depends only on its step, so it is computed once per batch
+of siblings and kept in the queue entry for the pop. The BFS
 strawman (Exp-5) materialises every intermediate-result level instead.
 """
 from __future__ import annotations
@@ -99,15 +101,15 @@ def simulate_workstealing(
     matched hyperedges, Exp-6). With stealing, the root SCAN output
     stays on worker 0 and spreads purely by stealing.
 
-    Queues hold ``(task, ready_time)`` pairs; ``ready_time`` is the
-    spawning worker's clock when the task was pushed, and execution
-    starts at ``max(worker clock, ready_time)``.
+    Queues hold ``(task, ready_time, nbytes)`` entries; ``ready_time``
+    is the spawning worker's clock when the task was pushed, and
+    execution starts at ``max(worker clock, ready_time)``.
     """
     if n_workers < 1:
         raise ValueError("need at least one worker")
     rng = np.random.default_rng(seed)
     aq = executor.plan.q.avg_arity
-    queues: list[deque[tuple[tuple, float]]] = [deque() for _ in range(n_workers)]
+    queues: list[deque[tuple[tuple, float, int]]] = [deque() for _ in range(n_workers)]
     clocks = [0.0] * n_workers
     busy = [0.0] * n_workers
     steal_time = [0.0] * n_workers
@@ -125,8 +127,10 @@ def simulate_workstealing(
 
     def push(w: int, tasks: list[tuple], ready: float) -> None:
         nonlocal live_bytes, peak_bytes
-        queues[w].extendleft((t, ready) for t in reversed(tasks))  # head, in order
-        live_bytes += sum(payload_nbytes(t, aq) for t in tasks)
+        nbytes = payload_nbytes(tasks[0], aq)  # siblings share a step
+        # To the head, in order.
+        queues[w].extendleft((t, ready, nbytes) for t in reversed(tasks))
+        live_bytes += nbytes * len(tasks)
         peak_bytes = max(peak_bytes, live_bytes)
 
     def start_time(w: int) -> float:
@@ -139,12 +143,13 @@ def simulate_workstealing(
     busy[0] += root_out.cost
     clocks[0] += root_out.cost * mult[0]
     n_tasks += 1
-    if scatter_roots:
+    if scatter_roots and root_out.children:
+        nbytes = payload_nbytes(root_out.children[0], aq)
         for i, t in enumerate(root_out.children):
-            queues[i % n_workers].append((t, clocks[0]))
-            live_bytes += payload_nbytes(t, aq)
+            queues[i % n_workers].append((t, clocks[0], nbytes))
+        live_bytes += nbytes * len(root_out.children)
         peak_bytes = max(peak_bytes, live_bytes)
-    else:
+    elif root_out.children:
         push(0, root_out.children, clocks[0])
 
     heap = [(start_time(w), w) for w in range(n_workers) if queues[w]]
@@ -185,8 +190,8 @@ def simulate_workstealing(
             break
         queue = queues[w]
         was_multi = len(queue) > 1
-        task, ready = queue.popleft()
-        live_bytes -= payload_nbytes(task, aq)
+        task, ready, nbytes = queue.popleft()
+        live_bytes -= nbytes
         out = executor.execute(task)
         n_tasks += 1
         total_cost += out.cost
