@@ -13,10 +13,15 @@ The engine never recurses. Each expansion builds one map from every
 vertex of ``m``'s hyperedges to its step bitmask (the steps part of a
 Def. V.3 vertex profile) in O(sum of arities), then runs Alg. 4
 (set-operation candidate generation) and Alg. 5 (profile validation,
-O(arity) per candidate) against it. The map lives only for that
-expansion; a task stays ``(step, m)``. Operation counting serves budgets
-("timeouts") and Exp-3's filtering statistics:
+O(|shared|) per candidate after one C-level set intersection) against
+it. The map lives only for that expansion; a task stays ``(step, m)``.
+Operation counting serves budgets ("timeouts") and Exp-3's filtering
+statistics:
 
+- ``stats['ops']``        — basic set operations. Alg. 5's charge is
+  booked once per expansion, after the candidate loop, so the total at
+  every task boundary (where budgets and task costs read it) is the
+  per-candidate sum
 - ``stats['candidates']`` — candidates emitted by SCAN and Alg. 4
 - ``stats['filtered']``   — survivors of the vertex-count check (Obs. V.5)
 - ``stats['validated']``  — survivors of profile validation (= embeddings
@@ -71,9 +76,13 @@ def expand_embedding(
     H = store.H
     vsets = [H.edges[eid] for eid in m]
     incid = step_masks(vsets)
+    cands = generate_candidates(step, vsets, store, stats, incid)
+    filtered_before = stats["filtered"] if stats is not None else 0
+    n_skipped = 0
     out: list[tuple[int, ...]] = []
-    for c in generate_candidates(step, vsets, store, stats, incid):
+    for c in cands:
         if c in m:  # distinct data hyperedges per embedding tuple
+            n_skipped += 1
             continue
         if validation == "profile":
             ok = is_valid_embedding(step, incid, H.edges[c], stats, H=H)
@@ -86,6 +95,14 @@ def expand_embedding(
             raise ValueError(f"unknown validation mode {validation!r}")
         if ok:
             out.append(m + (c,))
+    if stats is not None and validation == "profile":
+        # Alg. 5's set-based op model, booked once: every checked
+        # candidate unions all step.i + 1 vertex sets; each survivor of
+        # the vertex count adds one membership test per step and vertex.
+        n_checked = len(cands) - n_skipped
+        n_filtered = stats["filtered"] - filtered_before
+        arity = len(plan.q.edges[step.eq])
+        stats["ops"] += n_checked * step.sum_arity + n_filtered * (step.i + 1) * arity
     return out
 
 

@@ -63,6 +63,10 @@ class PlanStep:
     # Sorted query-side vertex-profile multiset for phi[i]'s vertices:
     # (label, bitmask of the steps j <= i whose hyperedge contains u).
     expected_profiles: tuple[tuple[str, int], ...]
+    # The same for only those of phi[i]'s vertices that steps j < i
+    # already cover, with bit i left out: the part of the multiset that
+    # Alg. 5 has to compare (see repro.core.validate).
+    shared_profiles: tuple[tuple[str, int], ...]
     # Sum of |phi[j]| over j <= i; equal signatures make it the size sum
     # of any candidate's matched vertex sets (Alg. 5's op charge).
     sum_arity: int
@@ -102,6 +106,7 @@ def compile_plan(q: Hypergraph, phi: list[int] | tuple[int, ...]) -> CompiledPla
                 if c not in seen:  # identical terms give identical sets
                     seen.add(c)
                     cons.append(c)
+        shared_profiles = tuple(sorted((q.label(u), masks[u]) for u in e if u in masks))
         for u in e:
             masks[u] = masks.get(u, 0) | 1 << i
         sum_arity += len(e)
@@ -114,6 +119,7 @@ def compile_plan(q: Hypergraph, phi: list[int] | tuple[int, ...]) -> CompiledPla
                 constraints=tuple(cons),
                 expected_vcount=len(masks),
                 expected_profiles=tuple(sorted((q.label(u), masks[u]) for u in e)),
+                shared_profiles=shared_profiles,
                 sum_arity=sum_arity,
             )
         )

@@ -10,9 +10,15 @@ hyperedge holds the vertex, encoded as a bitmask (bit ``j`` for step
 ``j``). The engine builds the parent's vertex -> mask map once per
 expansion, in O(sum of arities) (:func:`~repro.core.plan.step_masks`).
 A candidate at step ``i`` adds only bit ``i``, and only for its own
-vertices, so its check costs O(arity): the covered-vertex count is the
-map's size plus the candidate's vertices missing from it, and a
-vertex's profile is ``(label, mask | 1 << i)``.
+vertices.
+
+Every candidate comes from the one partition S(phi[i]) (Obs. V.1), so
+its label multiset already equals phi[i]'s. That leaves only the
+profiles of the vertices it shares with the partial embedding to
+compare: a vertex outside the partial embedding has profile
+``(label, 1 << i)`` on both sides. The check therefore costs one
+C-level intersection of the candidate with the map's keys plus
+O(|shared|) Python work (see :func:`is_valid_embedding`).
 
 Why this is exactly correct (sketch, expanding the paper's proof):
 each vertex's profile only changes at steps where it lies in the newly
@@ -50,26 +56,28 @@ def is_valid_embedding(
 
     ``incid`` maps each vertex of the matched hyperedges of steps
     ``0..step.i-1`` to its step bitmask; ``vs`` is the candidate's
-    vertex set. ``stats`` tracks how many embeddings survive each check
-    (Exp-3's 'Filtered' vs 'Embeddings' series) and charges the
-    set-based op model: the union over all ``step.i + 1`` vertex sets,
-    then one membership test per step and candidate vertex.
+    vertex set. ``stats`` counts how many candidates survive each check
+    (Exp-3's 'Filtered' vs 'Embeddings' series); the op charge is
+    booked by the caller, once per expansion.
+
+    Precondition: ``vs`` lies in the partition S(phi[i]), so its label
+    multiset equals phi[i]'s. Only the vertices ``shared`` with the
+    partial embedding are then compared, against
+    ``step.shared_profiles`` (masks without bit ``i``). Equal shared
+    multisets mean equal shared label multisets; subtracting those from
+    the equal signatures leaves equal label multisets for the new
+    vertices, whose masks are all ``1 << i`` on both sides. So the full
+    ``(label, mask | 1 << i)`` multisets are equal. Conversely, equal
+    full multisets restrict to equal multisets of the profiles with a
+    bit other than ``i``, which are exactly the shared ones.
     """
-    nv = len(incid)
-    for v in vs:
-        if v not in incid:
-            nv += 1
-    if stats is not None:
-        stats["ops"] += step.sum_arity
-    if nv != step.expected_vcount:
+    shared = incid.keys() & vs
+    if len(incid) + len(vs) - len(shared) != step.expected_vcount:
         return False
     if stats is not None:
         stats["filtered"] += 1  # passed the Obs. V.5 check
-        stats["ops"] += (step.i + 1) * len(vs)
-    bit = 1 << step.i
     labels = H.labels
-    got = sorted([(labels[v], incid.get(v, 0) | bit) for v in vs])
-    if tuple(got) != step.expected_profiles:
+    if tuple(sorted([(labels[v], incid[v]) for v in shared])) != step.shared_profiles:
         return False
     if stats is not None:
         stats["validated"] += 1

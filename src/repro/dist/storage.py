@@ -43,11 +43,12 @@ class SparkHypergraph:
     labels: DataFrame   # v: long, label: string
     n_vertices: int
     n_edges: int
+    partition_sizes: dict[str, int]  # sig -> Card, counted once at load
 
     def cardinalities(self) -> dict[str, int]:
-        """``sig -> Card`` from partition metadata (Def. V.2)."""
-        rows = self.edges.groupBy("sig").count().collect()
-        return {r["sig"]: r["count"] for r in rows}
+        """``sig -> Card`` from partition metadata (Def. V.2); no Spark
+        job, since a loaded hypergraph's partitions never change."""
+        return dict(self.partition_sizes)
 
 
 def postings(edges: DataFrame, *payload: Column) -> DataFrame:
@@ -96,4 +97,7 @@ def build_spark_hypergraph(spark: SparkSession, H: Hypergraph) -> SparkHypergrap
         labels=labels,
         n_vertices=H.n_vertices,
         n_edges=H.n_edges,
+        partition_sizes={
+            sig: int(n) for sig, n in frames["edges"]["sig"].value_counts().items()
+        },
     )

@@ -140,6 +140,32 @@ class TestBacktrackFramework:
         assert bt.timed_out or bt.stats["ops"] > 10 * hg.stats["ops"]
 
 
+@pytest.fixture(scope="module")
+def exp2_hb_q2():
+    """Exp-2's high-arity workload: one q2 query on HB at half scale,
+    with HGMatch's op count as the reference."""
+    from repro.experiments.datasets import make_dataset
+    from repro.hyper.queries import QuerySetting, sample_query
+
+    H = make_dataset("HB", scale=0.5, seed=0)
+    q = sample_query(H, QuerySetting("q2", 2, 5, 60), seed=1).query
+    hg = hgmatch(H, SignatureStore(H), q)
+    assert not hg.timed_out
+    return H, q, hg.stats["ops"]
+
+
+@pytest.mark.parametrize("engine", [*STRATEGIES, "rapidmatch"])
+def test_exp2_baselines_time_out_or_cost_more(exp2_hb_q2, engine):
+    """Exp-2's ordering: under the budget, every baseline either times
+    out or spends at least HGMatch's operations."""
+    H, q, hg_ops = exp2_hb_q2
+    if engine == "rapidmatch":
+        r = rapidmatch(H, q, budget=150_000)
+    else:
+        r = match_by_vertex(H, q, strategy=engine, budget=150_000)
+    assert r.timed_out or r.stats["ops"] >= hg_ops
+
+
 class TestBipartite:
     def test_sizes(self):
         H = fig1_data()

@@ -9,8 +9,12 @@ from repro.core.local_engine import (
     embeddings_in_query_edge_order,
     hgmatch,
 )
-from repro.core.plan import PlanStep
+from repro.core.plan import PlanStep, compile_plan
+from repro.engine.scheduler import simulate_workstealing
+from repro.engine.tasks import HGMatchTaskExecutor
+from repro.experiments.datasets import make_dataset
 from repro.hyper.model import Hypergraph, fig1_data, fig1_query
+from repro.hyper.queries import TABLE3_SETTINGS, sample_queries
 from repro.hyper.storage import SignatureStore
 
 
@@ -199,3 +203,32 @@ def test_stats_pinned(fig1):
             H, store, q = small_instance(seed, n_edges_q=n_edges_q)
         stats = hgmatch(H, store, q).stats
         assert tuple(stats[k] for k in keys) == expected, case
+
+
+@pytest.fixture(scope="module")
+def hb_q4():
+    """HB with its pinned Table III q4 sample (seed 0): the catalog
+    queries where Alg. 5's profile check rejects candidates that pass
+    the vertex count."""
+    H = make_dataset("HB")
+    q4 = next(s for s in TABLE3_SETTINGS if s.name == "q4")
+    return H, SignatureStore(H), [sq.query for sq in sample_queries(H, q4, 4, seed=0)]
+
+
+# query index -> (count, ops, candidates, filtered, validated)
+HB_Q4_FUNNEL = {0: (2, 2424, 72, 39, 21), 3: (11, 9649, 167, 71, 59)}
+
+
+@pytest.mark.parametrize("qi", sorted(HB_Q4_FUNNEL))
+def test_profile_funnel_pinned(hb_q4, qi):
+    """filtered > validated: the profile comparison of Alg. 5, not the
+    vertex count, rejects these candidates, through both the sequential
+    engine and the task executor."""
+    H, store, qs = hb_q4
+    count, *expected = HB_Q4_FUNNEL[qi]
+    r = hgmatch(H, store, qs[qi])
+    assert r.count == count == hgmatch(H, store, qs[qi], validation="exact").count
+    keys = ("ops", "candidates", "filtered", "validated")
+    assert tuple(r.stats[k] for k in keys) == tuple(expected)
+    ex = HGMatchTaskExecutor(compile_plan(qs[qi], r.phi), store)
+    assert simulate_workstealing(ex, 1).emitted == count

@@ -57,6 +57,25 @@ class TestCompile:
         expected = sorted((q.label(u), masks[u]) for u in q.edges[last.eq])
         assert list(last.expected_profiles) == expected
 
+    def test_shared_profiles_are_covered_part_without_current_bit(self, fig1_plan):
+        q, plan = fig1_plan
+        assert plan.steps[0].shared_profiles == ()
+        for step in plan.steps:
+            assert list(step.shared_profiles) == sorted(step.shared_profiles)
+            bit = 1 << step.i
+            # expected_profiles restricted to the vertices that carry
+            # another step's bit (covered before step i), bit i cleared.
+            expected = sorted(
+                (label, mask & ~bit)
+                for label, mask in step.expected_profiles
+                if mask != bit
+            )
+            assert list(step.shared_profiles) == expected
+            prev = step_masks(q.edges[eq] for eq in plan.phi[: step.i])
+            by_vertex = sorted((q.label(u), prev[u]) for u in q.edges[step.eq] if u in prev)
+            assert by_vertex == expected
+        assert plan.steps[-1].shared_profiles  # fig1's query is connected
+
     def test_constraint_degrees_are_partial_query_degrees(self):
         # Query: triangle of 2-edges; at step 2, shared vertices have
         # partial-query degree 1 or 2 depending on overlap history.

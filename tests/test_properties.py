@@ -89,10 +89,11 @@ def test_hgmatch_agrees_with_brute_force(H, k):
     st.data(),
 )
 def test_incremental_alg5_equals_exact(H, k, data):
-    """Theorem V.2 for the step-bitmask Alg. 5: on every candidate
-    reachable through Alg. 4, under any matching order (a disconnected
-    prefix scans the whole partition), it agrees with the exact
-    bijection oracle."""
+    """Theorem V.2 for the shared-profile Alg. 5, under any matching
+    order: on every hyperedge ``c`` of the partition S(phi[i]) outside
+    the partial embedding (its precondition), not only on Alg. 4's
+    output, it equals a full (label, mask | bit i) multiset check and
+    the exact bijection oracle. Alg. 4 must keep every valid one."""
     q = connected_query_from(H, min(k, H.n_edges))
     if q is None:
         return
@@ -104,14 +105,21 @@ def test_incremental_alg5_equals_exact(H, k, data):
         if len(m) == plan.n_steps:
             continue
         step = plan.steps[len(m)]
+        bit = 1 << step.i
         vsets = [H.edges[eid] for eid in m]
         incid = step_masks(vsets)
-        for c in generate_candidates(step, vsets, store, None, incid):
+        cands = set(generate_candidates(step, vsets, store, None, incid))
+        for c in store.scan(step.sig):
             if c in m:
                 continue
-            ok = is_valid_embedding(step, incid, H.edges[c], H=H)
-            assert ok == exact_embedding_exists(plan, vsets + [H.edges[c]], H)
+            vs = H.edges[c]
+            ok = is_valid_embedding(step, incid, vs, H=H)
+            full = len(incid.keys() | vs) == step.expected_vcount and tuple(
+                sorted((H.labels[v], incid.get(v, 0) | bit) for v in vs)
+            ) == step.expected_profiles
+            assert ok == full == exact_embedding_exists(plan, vsets + [vs], H)
             if ok:
+                assert c in cands
                 stack.append(m + (c,))
 
 

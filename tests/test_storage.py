@@ -5,6 +5,7 @@ import pandas as pd
 import pytest
 
 from repro.dist.storage import hypergraph_frames, sig_str
+from repro.experiments.datasets import make_dataset
 from repro.hyper.generator import random_hypergraph
 from repro.hyper.model import fig1_data
 from repro.hyper.storage import SignatureStore
@@ -100,6 +101,12 @@ class TestSizeAnalysis:
         )
         s = SignatureStore(H)
         assert 0.3 <= s.index_nbytes() / s.graph_nbytes() <= 1.0
+
+    def test_exp1_largest_stand_in_index_near_graph_size(self):
+        # Exp-1 on AR, the largest catalog stand-in: the index stays
+        # within a small factor of the hyperedge tables.
+        s = SignatureStore(make_dataset("AR"))
+        assert 0.2 <= s.index_nbytes() / s.graph_nbytes() <= 1.2
 
 
 class TestOracle:

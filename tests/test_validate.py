@@ -57,9 +57,10 @@ class TestFig1:
             ("A", (1,)),
             ("B", (1,)),
         ]
-        # Alg. 5 builds the same profiles from the parent's masks plus
-        # the current step's bit, and they equal the query side's.
+        # The data side's full profiles equal the query side's; Alg. 5
+        # compares only the shared vertex v2, without the current bit.
         assert tuple(profs) == plan.steps[1].expected_profiles
+        assert plan.steps[1].shared_profiles == (("A", 0b01),)
         assert validate(plan.steps[1], [H.edges[0], H.edges[2]], H)
 
 
