@@ -16,26 +16,34 @@ runs Alg. 4 + Alg. 5 as one pipeline:
    signature's partition, read from ``edges`` exploded on ``vs`` with
    each posting carrying its hyperedge's ``vs``/``ls`` as ``cvs``/``cls``
    (Alg. 4 line 6);
-3. *intersection* — ``groupBy(emb, eid)`` keeping candidates with
-   ``size(collect_set(ck)) = K`` (Alg. 4 line 7); ``vsets``/``lsets``
+3. *intersection* — ``groupBy(emb, eid)`` counting the constraints a
+   candidate meets as ``size(collect_set(ck))`` (Alg. 4 line 7; step 4
+   keeps those that meet all ``K``); ``vsets``/``lsets``
    ride through the aggregate since ``emb`` determines them, and
    ``cvs``/``cls`` since ``eid`` determines them;
-4. *validation* — append the candidate to the row, then the
-   vertex-count check (Obs. V.5) and the sorted ``struct(label,
-   steps)`` profile multiset against the plan's literal expected
+4. *validation* — one projection appends the candidate to the row,
+   and one filter keeps rows that meet all ``K`` constraints, pass the
+   vertex-count check (Obs. V.5) and whose sorted ``struct(label,
+   steps)`` profile multiset equals the plan's literal expected
    profiles (Alg. 5). No join: the payload came with the postings.
 
 A step thus costs three exchanges: both sides of the ``v`` join and the
 aggregate.
 
 Query-side quantities are literals from the
-:class:`~repro.core.plan.CompiledPlan`, built with the Column API (no
-SQL strings, no Python UDFs), so the plan grows by a fixed number of
-operators per EXPAND step.
+:class:`~repro.core.plan.CompiledPlan`. Each expression goes to the JVM
+as Spark SQL expression text (``selectExpr``, ``where``, ``F.expr``)
+and is parsed there in one call; a Column tree costs py4j round trips
+per node, about ten times as many per EXPAND step. The only
+values formatted into the text are ints and fixed column names, and
+labels, which enter only through :func:`_label_sql` as hex-encoded
+UTF-8 bytes, so no label character reaches the SQL parser. There are
+no Python UDFs, and the plan grows by a fixed number of operators per
+EXPAND step.
 """
 from __future__ import annotations
 
-from pyspark.sql import Column, DataFrame, SparkSession
+from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.core.local_engine import MatchResult, embeddings_in_query_edge_order
@@ -45,76 +53,61 @@ from repro.dist.storage import SparkHypergraph, postings, sig_str
 from repro.hyper.model import Hypergraph
 
 
+def _label_sql(label: str) -> str:
+    """``label`` as SQL expression text: its UTF-8 bytes as a binary
+    literal, decoded. Neither a label character nor a quote reaches the
+    parser, whatever ``spark.sql.parser.escapedStringLiterals`` says,
+    and the optimizer folds the ``decode`` into a string constant."""
+    return f"decode(X'{label.encode('utf-8').hex()}', 'UTF-8')"
+
+
 def _scan(sh: SparkHypergraph, step: PlanStep) -> DataFrame:
     """SCAN(phi[0]): all data hyperedges in the partition S(phi[0])."""
-    return (
-        sh.edges.where(F.col("sig") == sig_str(step.sig))
-        .select(
-            F.array("eid").alias("emb"),
-            F.array("vs").alias("vsets"),
-            F.array("ls").alias("lsets"),
-        )
+    return sh.edges.where(F.col("sig") == sig_str(step.sig)).selectExpr(
+        "array(eid) AS emb", "array(vs) AS vsets", "array(ls) AS lsets"
     )
 
 
-def _tagged_candidates(step: PlanStep, ck: int, c: Constraint) -> Column:
+def _tagged_candidates(step: PlanStep, ck: int, c: Constraint) -> str:
     """``array<struct(ck, v)>``: the vertices of step ``c.j`` that
     satisfy constraint ``c`` (Alg. 4 l.5), tagged with ``ck``."""
-    vsets, lsets = F.col("vsets"), F.col("lsets")
-
-    def keep(v: Column, idx: Column) -> Column:
-        ok = (lsets[c.j][idx] == F.lit(c.label)) & (
-            F.size(F.filter(vsets, lambda a: F.array_contains(a, v))) == c.degree
-        )
-        for j in step.non_adjacent:
-            ok &= ~F.array_contains(vsets[j], v)
-        return ok
-
-    return F.transform(
-        F.filter(vsets[c.j], keep),
-        lambda v: F.struct(F.lit(ck).alias("ck"), v.alias("v")),
+    keep = [
+        f"lsets[{c.j}][k] = {_label_sql(c.label)}",
+        f"size(filter(vsets, a -> array_contains(a, v))) = {c.degree}",
+    ] + [f"NOT array_contains(vsets[{j}], v)" for j in step.non_adjacent]
+    return (
+        f"transform(filter(vsets[{c.j}], (v, k) -> {' AND '.join(keep)}), "
+        f"v -> named_struct('ck', {ck}, 'v', v))"
     )
 
 
-def _profiles_match(step: PlanStep) -> Column:
+def _profiles_match(step: PlanStep) -> str:
     """Alg. 5: the sorted profiles ``struct(label, steps j <= i whose
     hyperedge contains v)`` of the new hyperedge's vertices equal the
     plan's query-side multiset."""
-    vsets = F.col("vsets")
-    data = F.sort_array(
-        F.transform(
-            "cvs",
-            lambda v, idx: F.struct(
-                F.col("cls")[idx].alias("label"),
-                F.filter(
-                    F.sequence(F.lit(0), F.lit(step.i)),
-                    lambda j: F.array_contains(vsets[j], v),
-                ).alias("steps"),
-            ),
+    data = (
+        "sort_array(transform(cvs, (v, k) -> named_struct('label', cls[k], "
+        f"'steps', filter(sequence(0, {step.i}), j -> array_contains(vsets[j], v)))))"
+    )
+    query = ", ".join(
+        f"named_struct('label', {_label_sql(label)}, "
+        f"'steps', array({', '.join(map(str, steps))}))"
+        # In sort_array's order for the data side: by (label, steps).
+        for label, steps in sorted(
+            (label, mask_steps(mask)) for label, mask in step.expected_profiles
         )
     )
-    query = F.array(
-        *[
-            F.struct(
-                F.lit(label).alias("label"),
-                F.array(*[F.lit(j) for j in steps]).alias("steps"),
-            )
-            # In sort_array's order for the data side: by (label, steps).
-            for label, steps in sorted(
-                (label, mask_steps(mask)) for label, mask in step.expected_profiles
-            )
-        ]
-    )
-    return data == query
+    return f"{data} = array({query})"
 
 
 def _expand(sh: SparkHypergraph, step: PlanStep, cur: DataFrame) -> DataFrame:
-    """EXPAND(phi[i]): extend every partial embedding by one hyperedge."""
+    """EXPAND(phi[i]): extend every partial embedding by one hyperedge.
+    The rows keep the candidate's ``cvs``/``cls`` and ``nck`` next to
+    ``emb``/``vsets``/``lsets``; the next step's select drops them."""
     if not step.constraints:
         raise ValueError("EXPAND requires a connected matching order")
-    s = sig_str(step.sig)
-    tagged = F.concat(
-        *[_tagged_candidates(step, ck, c) for ck, c in enumerate(step.constraints)]
+    tagged = ", ".join(
+        _tagged_candidates(step, ck, c) for ck, c in enumerate(step.constraints)
     )
     # The partition's postings, each carrying its hyperedge's vertex and
     # label arrays; posting-list union + intersection (Alg. 4 l.6-7),
@@ -122,37 +115,35 @@ def _expand(sh: SparkHypergraph, step: PlanStep, cur: DataFrame) -> DataFrame:
     # distinct aggregate is planned as two aggregations with one more
     # shuffle.
     cand_postings = postings(
-        sh.edges.where(F.col("sig") == s),
-        F.col("vs").alias("cvs"),
-        F.col("ls").alias("cls"),
-    ).drop("sig")
-    joined = (
-        cur.select("emb", "vsets", "lsets", F.inline(tagged))
+        sh.edges.where(F.col("sig") == sig_str(step.sig)), "vs AS cvs", "ls AS cls"
+    )
+    return (
+        cur.selectExpr("emb", "vsets", "lsets", f"inline(concat({tagged}))")
         .join(cand_postings, "v")
-        .where(~F.array_contains("emb", F.col("eid")))
+        .where("NOT array_contains(emb, eid)")
         .groupBy("emb", "eid")
         .agg(
-            F.size(F.collect_set("ck")).alias("nck"),
-            F.first("vsets").alias("vsets"),
-            F.first("lsets").alias("lsets"),
-            F.first("cvs").alias("cvs"),
-            F.first("cls").alias("cls"),
+            F.expr("size(collect_set(ck)) AS nck"),
+            F.expr("first(vsets) AS vsets"),
+            F.expr("first(lsets) AS lsets"),
+            F.expr("first(cvs) AS cvs"),
+            F.expr("first(cls) AS cls"),
         )
-        .where(F.col("nck") == len(step.constraints))
-        .select(
-            F.concat("emb", F.array("eid")).alias("emb"),
-            F.concat("vsets", F.array("cvs")).alias("vsets"),
-            F.concat("lsets", F.array("cls")).alias("lsets"),
+        .selectExpr(
+            "concat(emb, array(eid)) AS emb",
+            "concat(vsets, array(cvs)) AS vsets",
+            "concat(lsets, array(cls)) AS lsets",
             "cvs",
             "cls",
+            "nck",
         )
-    )
-    # Validation (Alg. 5): Obs. V.5 vertex count, then profile multiset.
-    vcount_ok = F.size(F.array_distinct(F.flatten("vsets"))) == step.expected_vcount
-    return (
-        joined.where(vcount_ok)
-        .where(_profiles_match(step))
-        .select("emb", "vsets", "lsets")
+        # Intersection size, then validation (Alg. 5): Obs. V.5 vertex
+        # count, then the profile multiset.
+        .where(
+            f"nck = {len(step.constraints)}"
+            f" AND size(array_distinct(flatten(vsets))) = {step.expected_vcount}"
+            f" AND {_profiles_match(step)}"
+        )
     )
 
 

@@ -23,8 +23,7 @@ import json
 from dataclasses import dataclass
 
 import pandas as pd
-from pyspark.sql import Column, DataFrame, SparkSession
-from pyspark.sql import functions as F
+from pyspark.sql import DataFrame, SparkSession
 
 from repro.hyper.model import Hypergraph, Signature
 
@@ -51,11 +50,11 @@ class SparkHypergraph:
         return dict(self.partition_sizes)
 
 
-def postings(edges: DataFrame, *payload: Column) -> DataFrame:
+def postings(edges: DataFrame, *payload: str) -> DataFrame:
     """The postings ``(sig, v, eid)`` of the hyperedges in ``edges``, one
-    row per member vertex, each also carrying the ``payload`` columns of
-    its hyperedge row."""
-    return edges.select("sig", F.explode("vs").alias("v"), "eid", *payload)
+    row per member vertex, each also carrying the ``payload``
+    expressions (SQL text) of its hyperedge row."""
+    return edges.selectExpr("sig", "explode(vs) AS v", "eid", *payload)
 
 
 def hypergraph_frames(H: Hypergraph) -> dict[str, pd.DataFrame]:

@@ -79,6 +79,15 @@ def _exchanges(node) -> int:
 
 # Quote, backslash, non-ASCII and the old profile separator.
 ADVERSARIAL_LABELS = {"L0": "it's", "L1": "a\\b", "L2": "ü", "L3": "x|0"}
+# Labels shaped to break SQL text built from them: an injection, the
+# empty string, a non-BMP character and a label that is itself the
+# expression the engine writes for a label.
+SQL_ADVERSARIAL_LABELS = {
+    "L0": "') OR true OR ('",
+    "L1": "",
+    "L2": "\U0001F600",
+    "L3": "decode(X'41', 'UTF-8')",
+}
 
 
 class TestCrossValidation:
@@ -101,15 +110,16 @@ class TestCrossValidation:
         H0 = random_hypergraph(
             n_vertices=14, n_edges=18, n_labels=4, mean_arity=2.8, max_arity=5, seed=0
         )
-        H = Hypergraph([ADVERSARIAL_LABELS[lbl] for lbl in H0.labels], H0.edges)
-        assert set(H.labels) == set(ADVERSARIAL_LABELS.values())
-        sh = build_spark_hypergraph(spark, H)
-        for n_edges_q in (3, 4):
-            q = sample_query(H, QuerySetting("t", n_edges_q, 2, 12), seed=0).query
-            bf, bft = brute_force(H, q, collect=True)
-            assert bft
-            df, plan = spark_hgmatch(spark, sh, q)
-            assert collect_embeddings_query_edge_order(df, plan) == bft
+        for label_map in (ADVERSARIAL_LABELS, SQL_ADVERSARIAL_LABELS):
+            H = Hypergraph([label_map[lbl] for lbl in H0.labels], H0.edges)
+            assert set(H.labels) == set(label_map.values())
+            sh = build_spark_hypergraph(spark, H)
+            for n_edges_q in (3, 4):
+                q = sample_query(H, QuerySetting("t", n_edges_q, 2, 12), seed=0).query
+                bf, bft = brute_force(H, q, collect=True)
+                assert bft
+                df, plan = spark_hgmatch(spark, sh, q)
+                assert collect_embeddings_query_edge_order(df, plan) == bft
         # A 1-ary hyperedge labelled "A,B" is not in the {A, B} partition.
         H = Hypergraph(["A,B", "A", "B"], [[0], [1, 2]])
         q = Hypergraph(["A", "B"], [[0, 1]])
@@ -190,3 +200,32 @@ class TestDataflowShape:
             sh.edges.unpersist()
             sh.index.unpersist()
         assert exchanges == [1, 4, 7, 10]
+
+    def test_py4j_commands_per_expand_step(self, spark, monkeypatch):
+        # Building an EXPAND step sends each expression to the JVM as
+        # SQL text, parsed there in one call: 100 py4j commands per
+        # step on this query. A Column tree costs one or more round
+        # trips per node, ~900-1,200 per step. Memory deletes come
+        # from a finalizer thread at no fixed point, so they are not
+        # counted.
+        H, store, q = small_instance(0, n_edges_q=4)
+        sh = build_spark_hypergraph(spark, H)
+        _, plan = spark_hgmatch(spark, sh, q)
+        client = spark.sparkContext._gateway._gateway_client
+        send = client.send_command
+        sent = []
+
+        def counting_send(command, *args, **kwargs):
+            if not command.startswith("m\nd\n"):
+                sent.append(command)
+            return send(command, *args, **kwargs)
+
+        monkeypatch.setattr(client, "send_command", counting_send)
+        per_prefix = []
+        for k in range(1, 5):
+            prefix, _ = q.subhypergraph(list(plan.phi[:k]))
+            before = len(sent)
+            spark_hgmatch(spark, sh, prefix, phi=list(range(k)))
+            per_prefix.append(len(sent) - before)
+        per_step = [b - a for a, b in zip(per_prefix, per_prefix[1:])]
+        assert all(0 < n < 200 for n in per_step), per_step
