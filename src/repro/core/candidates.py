@@ -18,8 +18,9 @@ candidate data hyperedges for ``phi[i]``:
 The step bitmasks (:func:`~repro.core.plan.step_masks`) are the map the
 engine builds once per expansion and shares with Alg. 5.
 
-Exactly the paper's difference / union / intersection pipeline, which
-the Spark engine mirrors with explode + join + group-by-count.
+Exactly the paper's difference / union / intersection pipeline. The
+Spark engine enumerates the first constraint's union with explode +
+join and probes the others on each candidate's vertex array.
 """
 from __future__ import annotations
 

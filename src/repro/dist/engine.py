@@ -6,33 +6,31 @@ hyperedge ids in phi order), ``vsets`` (their vertex sets) and
 row's key, so every EXPAND step (Def. VI.1) reads its input once and
 runs Alg. 4 + Alg. 5 as one pipeline:
 
-1. *tagged candidate vertices* — per constraint ``ck``, a
-   higher-order ``filter`` over the carried arrays keeps the vertices
-   of the matched step with the constraint's label and partial degree
-   that no non-adjacent step covers (Alg. 4 line 5); the per-constraint
-   results are concatenated into one ``array<struct(ck, v)>`` and
-   ``inline``-d once;
-2. *posting-list union* — join, on ``v``, the postings of the
-   signature's partition, read from ``edges`` exploded on ``vs`` with
-   each posting carrying its hyperedge's ``vs``/``ls`` as ``cvs``/``cls``
-   (Alg. 4 line 6);
-3. *intersection* — ``groupBy(emb, eid)`` counting the constraints a
-   candidate meets as ``size(collect_set(ck))`` (Alg. 4 line 7; step 4
-   keeps those that meet all ``K``); ``vsets``/``lsets``
-   ride through the aggregate since ``emb`` determines them, and
-   ``cvs``/``cls`` since ``eid`` determines them;
-4. *validation* — one projection appends the candidate to the row,
-   and one filter keeps rows that meet all ``K`` constraints, pass the
-   vertex-count check (Obs. V.5) and whose sorted ``struct(label,
-   steps)`` profile multiset equals the plan's literal expected
-   profiles (Alg. 5). No join: the payload came with the postings.
+1. *constraint vertices* — per constraint ``k``, a higher-order
+   ``filter`` over the carried arrays keeps, as the array ``c_k``, the
+   vertices of the matched step with the constraint's label and
+   partial degree that no non-adjacent step covers (Alg. 4 line 5);
+2. *enumerate* — ``c0`` is exploded to ``v`` and joined, on ``v``, with
+   the postings of the signature's partition, read from ``edges``
+   exploded on ``vs`` with each posting carrying its hyperedge's
+   ``vs``/``ls`` as ``cvs``/``cls`` (Alg. 4 line 6 for ``k = 0``);
+3. *probe* — one filter keeps a joined row when the candidate ``eid``
+   is not yet in ``emb``, ``v`` is its least vertex in ``c0`` (so each
+   ``(emb, eid)`` pair survives once), ``cvs`` overlaps every other
+   ``c_k`` (the intersection of Alg. 4 line 7: every posting is from
+   the one partition and carries its ``cvs``), the vertex count passes
+   (Obs. V.5), and the sorted ``struct(label, steps)`` profile multiset
+   equals the plan's literal expected profiles (Alg. 5), its steps read
+   from the pre-append ``vsets``;
+4. *append* — one projection appends ``eid``/``cvs``/``cls`` to the row.
 
-A step thus costs three exchanges: both sides of the ``v`` join and the
-aggregate.
+This is the generic-join pattern: enumerate one relation, probe the
+others. There is no aggregate, so a step costs two exchanges, both
+sides of the ``v`` join, and every operator is deterministic.
 
 Query-side quantities are literals from the
 :class:`~repro.core.plan.CompiledPlan`. Each expression goes to the JVM
-as Spark SQL expression text (``selectExpr``, ``where``, ``F.expr``)
+as Spark SQL expression text (``selectExpr``, ``where``)
 and is parsed there in one call; a Column tree costs py4j round trips
 per node, about ten times as many per EXPAND step. The only
 values formatted into the text are ints and fixed column names, and
@@ -68,26 +66,28 @@ def _scan(sh: SparkHypergraph, step: PlanStep) -> DataFrame:
     )
 
 
-def _tagged_candidates(step: PlanStep, ck: int, c: Constraint) -> str:
-    """``array<struct(ck, v)>``: the vertices of step ``c.j`` that
-    satisfy constraint ``c`` (Alg. 4 l.5), tagged with ``ck``."""
+def _constraint_vertices(step: PlanStep, c: Constraint) -> str:
+    """``array<long>``: the vertices of step ``c.j`` that satisfy
+    constraint ``c`` (Alg. 4 l.5). Never null: from a null-intolerant
+    probe on a nullable array, Catalyst would infer ``isnotnull`` and
+    push it, with the array's expression inlined over the previous
+    step's appended ``vsets``, into that step's join condition."""
     keep = [
         f"lsets[{c.j}][k] = {_label_sql(c.label)}",
         f"size(filter(vsets, a -> array_contains(a, v))) = {c.degree}",
     ] + [f"NOT array_contains(vsets[{j}], v)" for j in step.non_adjacent]
-    return (
-        f"transform(filter(vsets[{c.j}], (v, k) -> {' AND '.join(keep)}), "
-        f"v -> named_struct('ck', {ck}, 'v', v))"
-    )
+    return f"coalesce(filter(vsets[{c.j}], (v, k) -> {' AND '.join(keep)}), array())"
 
 
 def _profiles_match(step: PlanStep) -> str:
     """Alg. 5: the sorted profiles ``struct(label, steps j <= i whose
-    hyperedge contains v)`` of the new hyperedge's vertices equal the
-    plan's query-side multiset."""
+    hyperedge contains x)`` of the candidate's vertices ``x`` equal the
+    plan's query-side multiset. The steps are read from the pre-append
+    ``vsets`` plus step ``i`` itself, which holds every ``x``."""
     data = (
-        "sort_array(transform(cvs, (v, k) -> named_struct('label', cls[k], "
-        f"'steps', filter(sequence(0, {step.i}), j -> array_contains(vsets[j], v)))))"
+        "sort_array(transform(cvs, (x, k) -> named_struct('label', cls[k], "
+        f"'steps', concat(filter(sequence(0, {step.i - 1}), "
+        f"j -> array_contains(vsets[j], x)), array({step.i})))))"
     )
     query = ", ".join(
         f"named_struct('label', {_label_sql(label)}, "
@@ -102,47 +102,40 @@ def _profiles_match(step: PlanStep) -> str:
 
 def _expand(sh: SparkHypergraph, step: PlanStep, cur: DataFrame) -> DataFrame:
     """EXPAND(phi[i]): extend every partial embedding by one hyperedge.
-    The rows keep the candidate's ``cvs``/``cls`` and ``nck`` next to
-    ``emb``/``vsets``/``lsets``; the next step's select drops them."""
+    The postings of constraint 0's vertices are enumerated and every
+    other constraint is probed on the joined row, so no aggregate is
+    needed (Alg. 4 l.6-7)."""
     if not step.constraints:
         raise ValueError("EXPAND requires a connected matching order")
-    tagged = ", ".join(
-        _tagged_candidates(step, ck, c) for ck, c in enumerate(step.constraints)
+    cs = [f"c{k}" for k in range(len(step.constraints))]
+    constraint_vertices = (
+        f"{_constraint_vertices(step, c)} AS {ck}" for ck, c in zip(cs, step.constraints)
     )
-    # The partition's postings, each carrying its hyperedge's vertex and
-    # label arrays; posting-list union + intersection (Alg. 4 l.6-7),
-    # keyed by emb. collect_set, not countDistinct: next to ``first``, a
-    # distinct aggregate is planned as two aggregations with one more
-    # shuffle.
     cand_postings = postings(
         sh.edges.where(F.col("sig") == sig_str(step.sig)), "vs AS cvs", "ls AS cls"
     )
+    keep = [
+        "NOT array_contains(emb, eid)",
+        # One row per (emb, eid): the posting of the candidate's least
+        # vertex in c0.
+        "v = array_min(array_intersect(cvs, c0))",
+        *(f"arrays_overlap(cvs, {ck})" for ck in cs[1:]),
+        # Validation (Alg. 5): Obs. V.5 vertex count, then the profiles.
+        f"size(array_distinct(concat(flatten(vsets), cvs))) = {step.expected_vcount}",
+        _profiles_match(step),
+    ]
     return (
-        cur.selectExpr("emb", "vsets", "lsets", f"inline(concat({tagged}))")
+        cur.selectExpr("emb", "vsets", "lsets", *constraint_vertices)
+        # explode_outer: on an attribute, explode makes Catalyst infer
+        # ``size(c0) > 0`` and push it, c0 inlined, into the previous
+        # step's join condition. The null v of an empty c0 joins nothing.
+        .selectExpr("*", "explode_outer(c0) AS v")
         .join(cand_postings, "v")
-        .where("NOT array_contains(emb, eid)")
-        .groupBy("emb", "eid")
-        .agg(
-            F.expr("size(collect_set(ck)) AS nck"),
-            F.expr("first(vsets) AS vsets"),
-            F.expr("first(lsets) AS lsets"),
-            F.expr("first(cvs) AS cvs"),
-            F.expr("first(cls) AS cls"),
-        )
+        .where(" AND ".join(keep))
         .selectExpr(
             "concat(emb, array(eid)) AS emb",
             "concat(vsets, array(cvs)) AS vsets",
             "concat(lsets, array(cls)) AS lsets",
-            "cvs",
-            "cls",
-            "nck",
-        )
-        # Intersection size, then validation (Alg. 5): Obs. V.5 vertex
-        # count, then the profile multiset.
-        .where(
-            f"nck = {len(step.constraints)}"
-            f" AND size(array_distinct(flatten(vsets))) = {step.expected_vcount}"
-            f" AND {_profiles_match(step)}"
         )
     )
 

@@ -1,11 +1,13 @@
 """Tests for the distributed Spark dataflow engine (Section VI-A),
 cross-checked against the sequential engine and brute force."""
 import time
+from collections import Counter
 
 import pytest
 
 from tests.helpers import small_instance
 from repro.baselines.bruteforce import brute_force
+import repro.core.local_engine as local_engine
 from repro.core.local_engine import hgmatch
 from repro.dist.engine import (
     collect_embeddings_query_edge_order,
@@ -63,18 +65,20 @@ class TestFig1:
         assert spark_hgmatch_count(spark, sh, q, phi=[0, 1]) == expected
 
 
-def _exchanges(node) -> int:
-    """Exchanges in an executed physical plan, through adaptive plans
-    and query stages."""
+def _operators(node, ops: Counter | None = None) -> Counter:
+    """Operators of an executed physical plan by node name, through
+    adaptive plans and query stages."""
+    ops = Counter() if ops is None else ops
     name = node.nodeName()
     if name == "AdaptiveSparkPlan":
-        return _exchanges(node.executedPlan())
+        return _operators(node.executedPlan(), ops)
     if name.endswith("QueryStage"):
-        return _exchanges(node.plan())
+        return _operators(node.plan(), ops)
+    ops[name] += 1
     children = node.children()
-    return int(name in ("Exchange", "ReusedExchange")) + sum(
-        _exchanges(children.apply(i)) for i in range(children.size())
-    )
+    for i in range(children.size()):
+        _operators(children.apply(i), ops)
+    return ops
 
 
 # Quote, backslash, non-ASCII and the old profile separator.
@@ -128,6 +132,45 @@ class TestCrossValidation:
         df, plan = spark_hgmatch(spark, build_spark_hypergraph(spark, H), q)
         assert collect_embeddings_query_edge_order(df, plan) == bft
 
+    def test_candidate_with_two_enumerated_vertices_counted_once(self, spark):
+        # Both hyperedges share two A vertices, so step 1 has one
+        # (deduplicated) constraint whose vertex array holds both, and
+        # the one candidate is posted under each. The embedding set
+        # would hide a duplicate row; the count does not.
+        H = Hypergraph(["A", "A", "B", "C"], [[0, 1, 2], [0, 1, 3]])
+        q = Hypergraph(["A", "A", "B", "C"], [[0, 1, 2], [0, 1, 3]])
+        _, bft = brute_force(H, q, collect=True)
+        assert bft == {(0, 1)}
+        sh = build_spark_hypergraph(spark, H)
+        df, plan = spark_hgmatch(spark, sh, q)
+        assert len(plan.steps[1].constraints) == 1
+        assert df.count() == len(bft)
+        assert collect_embeddings_query_edge_order(df, plan) == bft
+
+    @pytest.mark.parametrize("seed", [2, 5])
+    def test_step_rows_equal_local_validated_per_step(self, spark, monkeypatch, seed):
+        # Every phi-prefix is validated exactly by Alg. 5, so Spark's
+        # count for the prefix ending at step i equals the local
+        # engine's validated count at step i (step 0: the SCAN).
+        H, store, q = small_instance(seed, n_edges_q=4)
+        validated = Counter()
+        check = local_engine.is_valid_embedding
+
+        def counting_check(step, *args, **kwargs):
+            ok = check(step, *args, **kwargs)
+            validated[step.i] += ok
+            return ok
+
+        monkeypatch.setattr(local_engine, "is_valid_embedding", counting_check)
+        phi = hgmatch(H, store, q).phi
+        local = [store.card(q.signature(phi[0]))] + [validated[i] for i in range(1, 4)]
+        sh = build_spark_hypergraph(spark, H)
+        spark_rows = []
+        for k in range(1, 5):
+            prefix, _ = q.subhypergraph(list(phi[:k]))
+            spark_rows.append(spark_hgmatch_count(spark, sh, prefix, phi=list(range(k))))
+        assert spark_rows == local
+
     def test_catalog_dataset_vs_local_engine(self, spark):
         H = make_dataset("CH", scale=0.25, seed=0)
         store = SignatureStore(H)
@@ -175,12 +218,13 @@ class TestDataflowShape:
             sc.setLocalProperty("spark.job.description", None)
 
     def test_plan_grows_linearly_per_expand_step(self, spark):
-        # Every EXPAND step adds exactly three exchanges (both sides of
-        # the posting join on v, then the groupBy(emb, eid) aggregate)
-        # to the executed plan of each phi-prefix of a 4-hyperedge
-        # query; SCAN's plan has the count's one exchange. The
-        # storage relations are cached, as a served hypergraph would
-        # be, so a reused storage sub-plan cannot hide its own exchanges.
+        # Every EXPAND step adds exactly two exchanges (both sides of
+        # the posting join on v) to the executed plan of each
+        # phi-prefix of a 4-hyperedge query; SCAN's plan has the
+        # count's one exchange, and the count's are the only
+        # aggregates. The storage relations are cached, as a served
+        # hypergraph would be, so a reused storage sub-plan cannot
+        # hide its own exchanges.
         H, store, q = small_instance(0, n_edges_q=4)
         assert q.n_edges == 4
         sh = build_spark_hypergraph(spark, H)
@@ -193,17 +237,29 @@ class TestDataflowShape:
                 df, _ = spark_hgmatch(spark, sh, prefix, phi=list(range(k)))
                 counted = df.groupBy().count()
                 assert counted.collect()[0][0] > 0
-                exchanges.append(
-                    _exchanges(counted._jdf.queryExecution().executedPlan())
-                )
+                ops = _operators(counted._jdf.queryExecution().executedPlan())
+                exchanges.append(ops["Exchange"] + ops["ReusedExchange"])
+                aggregates = {n: c for n, c in ops.items() if "Aggregate" in n}
+                # The count: a partial and a final aggregate.
+                assert aggregates == {"HashAggregate": 2}, aggregates
         finally:
             sh.edges.unpersist()
             sh.index.unpersist()
-        assert exchanges == [1, 4, 7, 10]
+        assert exchanges == [1, 3, 5, 7]
+
+    def test_no_appended_array_inside_lambdas(self, spark):
+        # Every lambda reads the carried arrays as they were before the
+        # step appended its candidate: no filter is pushed below a
+        # step's append projection with concat(vsets, array(cvs))
+        # inlined, which would rebuild it per lambda call.
+        H, store, q = small_instance(0, n_edges_q=4)
+        df, _ = spark_hgmatch(spark, build_spark_hypergraph(spark, H), q)
+        optimized = df._jdf.queryExecution().optimizedPlan().toString()
+        assert "array_contains(concat(" not in optimized
 
     def test_py4j_commands_per_expand_step(self, spark, monkeypatch):
         # Building an EXPAND step sends each expression to the JVM as
-        # SQL text, parsed there in one call: 100 py4j commands per
+        # SQL text, parsed there in one call: 66-67 py4j commands per
         # step on this query. A Column tree costs one or more round
         # trips per node, ~900-1,200 per step. Memory deletes come
         # from a finalizer thread at no fixed point, so they are not
@@ -228,4 +284,4 @@ class TestDataflowShape:
             spark_hgmatch(spark, sh, prefix, phi=list(range(k)))
             per_prefix.append(len(sent) - before)
         per_step = [b - a for a, b in zip(per_prefix, per_prefix[1:])]
-        assert all(0 < n < 200 for n in per_step), per_step
+        assert all(0 < n < 100 for n in per_step), per_step
