@@ -51,6 +51,13 @@ class MatchResult:
     embeddings: list[tuple[int, ...]] | None = None  # aligned to phi
 
 
+def check_validation(validation: str) -> None:
+    """Reject an unknown Alg. 5 mode before any work, so it fails even
+    when no candidate would reach validation."""
+    if validation not in ("profile", "exact"):
+        raise ValueError(f"unknown validation mode {validation!r}")
+
+
 def expand_embedding(
     plan: CompiledPlan,
     store: SignatureStore,
@@ -66,6 +73,7 @@ def expand_embedding(
     root. Any later step is one EXPAND (Alg. 4 + Alg. 5). Shared by
     this engine and the task scheduler.
     """
+    check_validation(validation)
     step = plan.steps[step_idx]
     if step_idx == 0:
         roots = store.scan(step.sig)
@@ -74,28 +82,30 @@ def expand_embedding(
                 stats[key] += len(roots)
         return [(eid,) for eid in roots]
     H = store.H
-    vsets = [H.edges[eid] for eid in m]
+    edges = H.edges
+    vsets = [edges[eid] for eid in m]
     incid = step_masks(vsets)
     cands = generate_candidates(step, vsets, store, stats, incid)
+    out: list[tuple[int, ...]] = []
+    # Distinct data hyperedges per embedding tuple: a candidate already
+    # in m is skipped before either check.
+    if validation == "exact":
+        for c in cands:
+            if c not in m and exact_embedding_exists(plan, vsets + [edges[c]], H):
+                out.append(m + (c,))
+        if stats is not None:
+            stats["filtered"] += len(out)
+            stats["validated"] += len(out)
+        return out
+    valid = is_valid_embedding  # read per call, so a rebound wrapper sees it
     filtered_before = stats["filtered"] if stats is not None else 0
     n_skipped = 0
-    out: list[tuple[int, ...]] = []
     for c in cands:
-        if c in m:  # distinct data hyperedges per embedding tuple
+        if c in m:
             n_skipped += 1
-            continue
-        if validation == "profile":
-            ok = is_valid_embedding(step, incid, H.edges[c], stats, H=H)
-        elif validation == "exact":
-            ok = exact_embedding_exists(plan, vsets + [H.edges[c]], H)
-            if stats is not None and ok:
-                stats["filtered"] += 1
-                stats["validated"] += 1
-        else:
-            raise ValueError(f"unknown validation mode {validation!r}")
-        if ok:
+        elif valid(step, incid, edges[c], stats, H=H):
             out.append(m + (c,))
-    if stats is not None and validation == "profile":
+    if stats is not None:
         # Alg. 5's set-based op model, booked once: every checked
         # candidate unions all step.i + 1 vertex sets; each survivor of
         # the vertex count adds one membership test per step and vertex.
@@ -127,6 +137,7 @@ def hgmatch(
     collect: also return the embedding tuples (tests / case study);
         counting-only is the paper's measurement mode.
     """
+    check_validation(validation)
     if phi is None:
         phi = compute_matching_order(q, store.card)
     plan = compile_plan(q, phi)

@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from repro.core.local_engine import expand_embedding
+from repro.core.local_engine import check_validation, expand_embedding
 from repro.core.plan import CompiledPlan
 from repro.hyper.storage import SignatureStore
 
@@ -61,6 +61,7 @@ class HGMatchTaskExecutor:
         *,
         validation: str = "profile",
     ):
+        check_validation(validation)
         self.plan = plan
         self.store = store
         self.validation = validation

@@ -79,9 +79,20 @@ class TestSpecialCases:
         assert r.timed_out
 
     def test_unknown_validation_mode(self, fig1):
+        """Rejected before any work, also where no candidate would
+        reach Alg. 5: a one-hyperedge query (SCAN only) and a query
+        whose signature the data lacks."""
         H, store, q = fig1
-        with pytest.raises(ValueError):
-            hgmatch(H, store, q, validation="wat")
+        single = Hypergraph(["A", "C"], [[0, 1]])
+        absent = Hypergraph(["C", "C"], [[0, 1]])
+        for query in (q, single, absent):
+            with pytest.raises(ValueError):
+                hgmatch(H, store, query, validation="wat")
+            plan = compile_plan(query, list(range(query.n_edges)))
+            with pytest.raises(ValueError):
+                HGMatchTaskExecutor(plan, store, validation="wat")
+            with pytest.raises(ValueError):
+                local_engine.expand_embedding(plan, store, 0, (), validation="wat")
 
     def test_collect_matches_count(self):
         inst = small_instance(3)
@@ -149,15 +160,18 @@ def test_alg4_alg5_entry_points_called(fig1, monkeypatch):
     """Alg. 4 and Alg. 5 are looked up through the ``local_engine``
     module namespace with the plan step first and the stats Counter
     fourth, so a wrapper rebound there sees every call (the benchmark's
-    layer tracer relies on this)."""
+    layer tracer relies on this), on the sequential and the task path."""
     H, store, q = fig1
     calls: dict[str, list[tuple]] = {}
+    returned: dict[str, list] = {}
     for name in ("generate_candidates", "is_valid_embedding"):
         orig = getattr(local_engine, name)
 
         def wrapper(*args, _orig=orig, _name=name, **kwargs):
             calls.setdefault(_name, []).append(args)
-            return _orig(*args, **kwargs)
+            out = _orig(*args, **kwargs)
+            returned.setdefault(_name, []).append(out)
+            return out
 
         monkeypatch.setattr(local_engine, name, wrapper)
     result = hgmatch(H, store, q)
@@ -167,6 +181,32 @@ def test_alg4_alg5_entry_points_called(fig1, monkeypatch):
         for args in arg_lists:
             assert isinstance(args[0], PlanStep)
             assert args[3] is result.stats
+
+    # Through HGMatchTaskExecutor, "profile" calls Alg. 5 exactly once
+    # per candidate not already in the partial embedding, and "exact"
+    # never calls it. The triangle's candidates include such repeats.
+    T = triangle_hypergraph()
+    for data, data_store, query, n_emb in ((H, store, q, 2), (T, SignatureStore(T), T, 6)):
+        plan = compile_plan(query, list(range(query.n_edges)))
+        for validation in ("profile", "exact"):
+            calls.clear()
+            returned.clear()
+            executor = HGMatchTaskExecutor(plan, data_store, validation=validation)
+            assert simulate_workstealing(executor, 2).emitted == n_emb
+            cands = [
+                (c, args[1])
+                for args, out in zip(calls["generate_candidates"], returned["generate_candidates"])
+                for c in out
+            ]
+            # Data hyperedges are distinct sets, so c is in m exactly
+            # when its vertex set is among m's.
+            n_fresh = sum(data.edges[c] not in vsets for c, vsets in cands)
+            assert 0 < n_fresh
+            n_alg5 = len(calls.get("is_valid_embedding", ()))
+            assert n_alg5 == (n_fresh if validation == "profile" else 0)
+            if validation == "profile":
+                assert all(args[3] is executor.stats for args in calls["is_valid_embedding"])
+        assert data is H or n_fresh < len(cands)
 
 
 # hgmatch(...).stats (ops, candidates, filtered, validated) recorded

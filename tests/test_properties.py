@@ -84,7 +84,8 @@ def test_hgmatch_agrees_with_brute_force(H, k):
 
 @settings(max_examples=150, deadline=None)
 @given(
-    small_hypergraphs(alphabets=[ADVERSARIAL_ALPHABET, *ADVERSARIAL_PAIRS]),
+    # One label: only the step mask decides a one-shared-vertex check.
+    small_hypergraphs(alphabets=[ADVERSARIAL_ALPHABET, *ADVERSARIAL_PAIRS, ["A"]]),
     st.integers(2, 5),
     st.data(),
 )

@@ -64,6 +64,38 @@ class TestFig1:
         assert validate(plan.steps[1], [H.edges[0], H.edges[2]], H)
 
 
+class TestOneSharedVertex:
+    """A step whose query hyperedge shares one vertex with the partial
+    query: phi = ({0,1}, {1,2}, {2,3}) on one label, so step 2's shared
+    profile is ("A", 0b10) and only the mask can tell candidates apart."""
+
+    H = Hypergraph(["A"] * 4, [[0, 1], [1, 2], [1, 3], [0, 2], [2, 3]])
+    plan = compile_plan(Hypergraph(["A"] * 4, [[0, 1], [1, 2], [2, 3]]), [0, 1, 2])
+
+    def check(self, c):
+        stats = Counter()
+        new_vsets = [self.H.edges[0], self.H.edges[1], self.H.edges[c]]
+        ok = validate(self.plan.steps[2], new_vsets, self.H, stats)
+        assert ok == exact_embedding_exists(self.plan, new_vsets, self.H)
+        return ok, stats
+
+    def test_shared_profile(self):
+        assert self.plan.steps[2].shared_profiles == (("A", 0b10),)
+        assert self.check(4) == (True, Counter(filtered=1, validated=1))
+
+    def test_same_label_wrong_mask(self):
+        # {1, 3} shares v1, in both matched hyperedges: mask 0b11.
+        ok, stats = self.check(2)
+        assert not ok
+        assert (stats["filtered"], stats["validated"]) == (1, 0)
+
+    def test_two_shared_vertices_fail_vertex_count(self):
+        # {0, 2} shares v0 and v2: 3 vertices in all, not 4.
+        ok, stats = self.check(3)
+        assert not ok
+        assert (stats["filtered"], stats["validated"]) == (0, 0)
+
+
 class TestEquivalenceWithExact:
     def test_profile_equals_exact_on_reachable_states(self):
         """Theorem V.2: for every candidate reachable through the real
