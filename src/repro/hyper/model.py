@@ -68,11 +68,6 @@ class Hypergraph:
         """``l(v)`` — the label of vertex ``v``."""
         return self.labels[v]
 
-    @cached_property
-    def label_set(self) -> frozenset[str]:
-        """``Sigma`` restricted to labels actually used by vertices."""
-        return frozenset(self.labels)
-
     # ------------------------------------------------------------------
     # arity (paper: a(e), average/max arity)
     # ------------------------------------------------------------------
@@ -151,10 +146,6 @@ class Hypergraph:
             tuple(sorted(self.labels[v] for v in e)) for e in self.edges
         )
 
-    def signature_of(self, vertices: Iterable[int]) -> Signature:
-        """Signature of an arbitrary vertex set of this hypergraph."""
-        return tuple(sorted(self.labels[v] for v in vertices))
-
     # ------------------------------------------------------------------
     # connectivity (queries must be connected; Alg. 3 relies on it)
     # ------------------------------------------------------------------
@@ -192,7 +183,7 @@ class Hypergraph:
         return Hypergraph(labels, edges), vmap
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Hypergraph(|V|={self.n_vertices}, |E|={self.n_edges}, |Sigma|={len(self.label_set)})"
+        return f"Hypergraph(|V|={self.n_vertices}, |E|={self.n_edges}, |Sigma|={len(set(self.labels))})"
 
 
 def fig1_data() -> Hypergraph:

@@ -10,7 +10,7 @@ from repro.core.local_engine import (
     hgmatch,
 )
 from repro.core.plan import PlanStep, compile_plan
-from repro.engine.scheduler import simulate_workstealing
+from repro.engine.scheduler import simulate_bfs, simulate_workstealing
 from repro.engine.tasks import HGMatchTaskExecutor
 from repro.experiments.datasets import make_dataset
 from repro.hyper.model import Hypergraph, fig1_data, fig1_query
@@ -62,6 +62,20 @@ class TestSpecialCases:
         H, store, _ = fig1
         q = Hypergraph(["C", "C"], [[0, 1]])
         assert hgmatch(H, store, q).count == 0
+
+    def test_query_without_hyperedges_rejected(self, fig1):
+        """Alg. 3 rejects a query with no hyperedges; an explicit empty
+        order is rejected the same way, on every path that starts from
+        a compiled plan, before any engine can count it as 0 or 1."""
+        H, store, _ = fig1
+        empty = Hypergraph([], [])
+        for phi in (None, []):
+            with pytest.raises(ValueError, match="no hyperedges"):
+                hgmatch(H, store, empty, phi=phi)
+        with pytest.raises(ValueError, match="no hyperedges"):
+            simulate_workstealing(HGMatchTaskExecutor(compile_plan(empty, []), store), 2)
+        with pytest.raises(ValueError, match="no hyperedges"):
+            simulate_bfs(HGMatchTaskExecutor(compile_plan(empty, []), store))
 
     def test_triangle_automorphisms(self):
         H = triangle_hypergraph()

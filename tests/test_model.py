@@ -97,10 +97,6 @@ class TestSignatures:
         assert H.signature(2) == ("A", "A", "B")
         assert H.signature(4) == ("A", "B", "C", "C")
 
-    def test_signature_of_arbitrary_set(self):
-        H = fig1_data()
-        assert H.signature_of([0, 1]) == ("A", "B")
-
     def test_fig1_partition_structure(self):
         H = fig1_data()
         sigs = set(H.signatures)

@@ -1,16 +1,19 @@
 """Property-based tests (hypothesis) over random hypergraphs.
 
 These complement the seeded cross-validation tests with
-adversarially-shrunk instances: profile validation vs the exact
-bijection oracle, storage invariants, and scheduler conservation.
+adversarially-shrunk instances: plan compilation vs its per-pair
+definition, profile validation vs the exact bijection oracle, storage
+invariants, and scheduler conservation.
 """
+import dataclasses
+
 from hypothesis import given, settings, strategies as st
 
 from repro.baselines.bruteforce import brute_force
 from repro.core.candidates import generate_candidates
 from repro.core.local_engine import embeddings_in_query_edge_order, hgmatch
 from repro.core.order import compute_matching_order
-from repro.core.plan import compile_plan, step_masks
+from repro.core.plan import PlanStep, compile_plan, step_masks
 from repro.core.validate import exact_embedding_exists, is_valid_embedding
 from repro.engine.scheduler import simulate_workstealing
 from repro.engine.tasks import HGMatchTaskExecutor
@@ -122,6 +125,69 @@ def test_incremental_alg5_equals_exact(H, k, data):
             if ok:
                 assert c in cands
                 stack.append(m + (c,))
+
+
+def reference_plan(q: Hypergraph, phi: list[int]) -> list[dict]:
+    """Every PlanStep field by direct definition: per step ``i``, the
+    intersection of phi[i] with each earlier phi[j] gives adjacency and
+    Alg. 4's constraints (by j, then by vertex, first copy kept); the
+    profiles are read off the vertex -> step-bitmask map."""
+    steps, masks, sum_arity = [], {}, 0
+    for i, eq in enumerate(phi):
+        e = q.edges[eq]
+        cons: list[tuple[int, str, int]] = []
+        for j in range(i):
+            for u in sorted(q.edges[phi[j]] & e):
+                c = (j, q.label(u), masks[u].bit_count())
+                if c not in cons:
+                    cons.append(c)
+        shared = tuple(sorted((q.label(u), masks[u]) for u in e if u in masks))
+        for u in e:
+            masks[u] = masks.get(u, 0) | 1 << i
+        sum_arity += len(e)
+        steps.append(
+            {
+                "i": i,
+                "eq": eq,
+                "sig": q.signature(eq),
+                "non_adjacent": tuple(j for j in range(i) if not q.edges[phi[j]] & e),
+                "constraints": tuple(cons),
+                "expected_vcount": len(masks),
+                "shared_profiles": shared,
+                "sum_arity": sum_arity,
+                "expected_profiles": tuple(sorted((q.label(u), masks[u]) for u in e)),
+            }
+        )
+    return steps
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    small_hypergraphs(alphabets=[ADVERSARIAL_ALPHABET, *ADVERSARIAL_PAIRS, ["A"]]),
+    st.integers(1, 5),
+    st.data(),
+)
+def test_compile_plan_equals_reference(H, k, data):
+    """The one-pass compiler equals the per-pair definition field by
+    field, in constraint order, under any order: on a connected query
+    (a single hyperedge when k = 1) and on the whole, possibly
+    disconnected, hypergraph."""
+    fields = [f.name for f in dataclasses.fields(PlanStep)]
+    for q in (connected_query_from(H, min(k, H.n_edges)), H):
+        if q is None:
+            continue
+        phi = data.draw(st.permutations(range(q.n_edges)))
+        plan = compile_plan(q, phi)
+        assert plan.phi == tuple(phi)
+        got = [
+            {
+                **{f: getattr(step, f) for f in fields},
+                "constraints": tuple((c.j, c.label, c.degree) for c in step.constraints),
+                "expected_profiles": step.expected_profiles,
+            }
+            for step in plan.steps
+        ]
+        assert got == reference_plan(q, phi)
 
 
 @settings(max_examples=60, deadline=None)

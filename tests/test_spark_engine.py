@@ -55,6 +55,14 @@ class TestFig1:
         q0 = Hypergraph(["C", "C"], [[0, 1]])
         assert spark_hgmatch_count(spark, sh, q0) == 0
 
+    def test_query_without_hyperedges_rejected(self, spark, fig1):
+        # As in the local engine: rejected before any dataflow is built.
+        _, _, sh = fig1
+        empty = Hypergraph([], [])
+        for phi in (None, []):
+            with pytest.raises(ValueError, match="no hyperedges"):
+                spark_hgmatch(spark, sh, empty, phi=phi)
+
     def test_empty_expand_partition_zero(self, spark, fig1):
         # SCAN finds {A, C} hyperedges; the EXPAND step reads the empty
         # {A, B} partition, so its postings have no rows.
