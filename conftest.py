@@ -6,7 +6,9 @@ def _driver_mem() -> str:
     """~75% of the container's memory limit, for the Spark driver JVM.
 
     Precedence: SPARK_DRIVER_MEM env (explicit override) > cgroup v2/v1
-    limit > 48g fallback. spark.driver.memory is read at JVM launch, not
+    limit > half of /proc/meminfo's MemTotal, clamped to 2-8g (as the
+    tier-1 command in ROADMAP.md computes it) > 48g if meminfo is
+    unreadable. spark.driver.memory is read at JVM launch, not
     from SparkConf, so it must be in PYSPARK_SUBMIT_ARGS before pyspark is
     imported anywhere — this runs at conftest import, which pytest loads
     before any test module.
@@ -33,6 +35,13 @@ def _driver_mem() -> str:
             return f"{max(1, int(gib * 0.75))}g"
         except (OSError, ValueError):
             continue
+    try:
+        with open("/proc/meminfo") as f:
+            kib = next(int(line.split()[1]) for line in f if line.startswith("MemTotal:"))
+        os.environ["_SPARK_DRIVER_MEM_SRC"] = "meminfo"
+        return f"{min(8, max(2, kib // (2 << 20)))}g"
+    except (OSError, ValueError, StopIteration, IndexError):
+        pass
     os.environ["_SPARK_DRIVER_MEM_SRC"] = "fallback"
     return "48g"
 

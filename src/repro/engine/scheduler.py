@@ -13,9 +13,10 @@ fixed ``STEAL_OVERHEAD`` per steal. Causality is respected: a task
 cannot start before the virtual time its parent finished (its *ready
 time*). The simulated makespan with p workers therefore reflects
 genuine work distribution; Exp-4's speedups are
-``makespan(1) / makespan(p)``. A configurable NUMA model (paper: knee
-beyond 20 threads = one physical socket) multiplies task costs for
-workers beyond ``numa_threshold`` — DESIGN.md substitution #7.
+``makespan(1) / makespan(p)``. A NUMA model (paper: knee beyond 20
+threads = one physical socket) multiplies task costs by
+``NUMA_PENALTY`` for workers beyond ``numa_threshold`` — DESIGN.md
+substitution #7.
 
 Event queue: the next task runs on the worker with the least
 ``(start_time, w)``, where ``start_time = max(clock, head ready time)``.
@@ -53,6 +54,8 @@ from repro.engine.tasks import ROOT, HGMatchTaskExecutor, payload_nbytes
 
 # Virtual time a thief spends on one steal, in operation-count units.
 STEAL_OVERHEAD = 8.0
+# Task-cost multiplier of a worker at or beyond ``numa_threshold``.
+NUMA_PENALTY = 1.3
 
 
 @dataclass
@@ -91,7 +94,6 @@ def simulate_workstealing(
     steal: bool = True,
     seed: int = 0,
     numa_threshold: int | None = None,
-    numa_penalty: float = 1.3,
     scatter_roots: bool = False,
 ) -> SimResult:
     """Run the full matching job on ``n_workers`` simulated workers.
@@ -115,7 +117,7 @@ def simulate_workstealing(
     steal_time = [0.0] * n_workers
     # NUMA model: task cost multiplier per worker.
     mult = [
-        numa_penalty if numa_threshold is not None and w >= numa_threshold else 1.0
+        NUMA_PENALTY if numa_threshold is not None and w >= numa_threshold else 1.0
         for w in range(n_workers)
     ]
     live_bytes = 0

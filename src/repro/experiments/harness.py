@@ -1,4 +1,4 @@
-"""Experiment harness: engine registry, budgets, runners.
+"""Experiment harness: engine registry, budgets, one run grid.
 
 Reproduces the paper's measurement protocol (Section VII-A) with the
 deterministic substitutions documented in DESIGN.md:
@@ -8,14 +8,18 @@ deterministic substitutions documented in DESIGN.md:
   clock; a run that exhausts the budget is recorded as timed out and
   its elapsed time is booked as ``TIME_LIMIT_S`` (the paper books
   3600 s), which preserves the averaging semantics;
-- *metrics*: per query we record elapsed seconds, operations, the
-  embedding count, and completion; runners aggregate to Table IV
-  (completion ratio), the Exp-2 speedup rows, and the Exp-3 filtering
-  statistics.
+- *metrics*: ``run_queries`` runs each sampled query once per engine
+  and records elapsed seconds, operations, the embedding count,
+  completion and, for HGMatch, the Alg. 4/5 funnel (candidates,
+  survivors of the vertex-count check, validated). Table IV
+  (``completion_table``), the Exp-2 speedups (``speedup_table``) and
+  the Exp-3 filtering totals (``filtering_table``) are three views of
+  that one grid.
 """
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
@@ -45,27 +49,34 @@ class RunRecord:
     ops: int
     count: int | None
     completed: bool
+    # HGMatch's Alg. 4/5 funnel (Exp-3); None for the baselines.
+    candidates: int | None = None
+    filtered: int | None = None
+    validated: int | None = None
 
 
-EngineFn = Callable[[Hypergraph, SignatureStore, Hypergraph, int | None], tuple[int | None, int, bool]]
+FUNNEL = ("candidates", "filtered", "validated")
+
+# An engine reports (embedding count, stats counter, timed out).
+EngineFn = Callable[[Hypergraph, SignatureStore, Hypergraph, int | None], tuple[int, Counter, bool]]
 
 
 def _run_hgmatch(H, store, q, budget):
     r = hgmatch(H, store, q, budget=budget)
-    return (None if r.timed_out else r.count), r.stats["ops"], not r.timed_out
+    return r.count, r.stats, r.timed_out
 
 
 def _mk_backtrack(strategy: str) -> EngineFn:
     def fn(H, store, q, budget):
         r = match_by_vertex(H, q, strategy=strategy, use_ihs=True, budget=budget)
-        return (None if r.timed_out else r.tuple_count), r.stats["ops"], not r.timed_out
+        return r.tuple_count, r.stats, r.timed_out
 
     return fn
 
 
 def _run_rapidmatch(H, store, q, budget):
     r = rapidmatch(H, q, budget=budget)
-    return (None if r.timed_out else r.tuple_count), r.stats["ops"], not r.timed_out
+    return r.tuple_count, r.stats, r.timed_out
 
 
 # Names follow the paper (Section VII-A).
@@ -98,18 +109,20 @@ def run_queries(
         for qi, sq in enumerate(queries):
             for algo in algos:
                 t0 = time.perf_counter()
-                count, ops, completed = ENGINES[algo](H, store, sq.query, budget)
+                count, stats, timed_out = ENGINES[algo](H, store, sq.query, budget)
                 dt = time.perf_counter() - t0
+                funnel = {k: stats[k] for k in FUNNEL} if algo == "HGMatch" else {}
                 records.append(
                     RunRecord(
                         algo=algo,
                         dataset=dataset,
                         setting=setting.name,
                         query_idx=qi,
-                        seconds=dt if completed else TIME_LIMIT_S,
-                        ops=ops,
-                        count=count,
-                        completed=completed,
+                        seconds=TIME_LIMIT_S if timed_out else dt,
+                        ops=stats["ops"],
+                        count=None if timed_out else count,
+                        completed=not timed_out,
+                        **funnel,
                     )
                 )
     return records
@@ -142,6 +155,18 @@ def speedup_table(records: list[RunRecord], base: str = "HGMatch") -> pd.DataFra
     return pd.concat([avg, speedup])
 
 
+def filtering_table(records: list[RunRecord]) -> pd.DataFrame:
+    """Exp-3: HGMatch's candidates (Alg. 4), survivors of the
+    vertex-count check ('filtered') and true embeddings, summed per
+    dataset, plus an ALL row."""
+    df = records_frame([r for r in records if r.algo == "HGMatch"])
+    tab = df.groupby("dataset", sort=False)[list(FUNNEL)].sum()
+    tab.loc["ALL"] = tab.sum()
+    tab = tab.rename(columns={"validated": "embeddings"})
+    tab["emb/filtered"] = tab["embeddings"] / tab["filtered"].clip(lower=1)
+    return tab
+
+
 def pick_heavy_queries(
     H: Hypergraph,
     store: SignatureStore,
@@ -164,26 +189,3 @@ def pick_heavy_queries(
             scored.append((r.count, sq.query))
     scored.sort(key=lambda t: -t[0])
     return scored[:n_pick]
-
-
-def filtering_stats(
-    dataset: str,
-    settings: list[QuerySetting],
-    *,
-    n_queries: int = 3,
-    scale: float = 1.0,
-    seed: int = 0,
-) -> dict[str, int]:
-    """Exp-3 series for one dataset: total candidates produced by
-    Alg. 4, survivors of the vertex-count check ('Filtered'), and true
-    embeddings, summed over all queries."""
-    H = make_dataset(dataset, scale=scale, seed=seed)
-    store = SignatureStore(H)
-    totals = {"candidates": 0, "filtered": 0, "embeddings": 0}
-    for setting in settings:
-        for sq in sample_queries(H, setting, n_queries, seed=seed):
-            r = hgmatch(H, store, sq.query)
-            totals["candidates"] += r.stats["candidates"]
-            totals["filtered"] += r.stats["filtered"]
-            totals["embeddings"] += r.stats["validated"]
-    return totals

@@ -11,7 +11,7 @@ from repro.experiments.datasets import SINGLE_THREAD_DATASETS, make_dataset
 from repro.experiments.harness import (
     ENGINES,
     completion_table,
-    filtering_stats,
+    filtering_table,
     pick_heavy_queries,
     records_frame,
     run_queries,
@@ -71,9 +71,11 @@ class TestHarness:
         row = tab.loc["HGMatch / HGMatch"]
         assert (row.round(6) == 1.0).all()
 
-    def test_filtering_stats_funnel(self):
-        s = filtering_stats("CH", MINI, n_queries=2, scale=0.4, seed=1)
-        assert s["candidates"] >= s["filtered"] >= s["embeddings"] >= 0
+    def test_filtering_stats_funnel(self, mini_records):
+        tab = filtering_table(mini_records)
+        assert list(tab.index) == ["CH", "HC", "ALL"]
+        for _, s in tab.iterrows():
+            assert s["candidates"] >= s["filtered"] >= s["embeddings"] >= 0
 
     def test_single_thread_datasets_exclude_ar(self):
         assert "AR" not in SINGLE_THREAD_DATASETS

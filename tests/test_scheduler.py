@@ -163,7 +163,7 @@ class TestVirtualTime:
             HGMatchTaskExecutor(plan, store), 8, numa_threshold=None
         )
         slow = simulate_workstealing(
-            HGMatchTaskExecutor(plan, store), 8, numa_threshold=2, numa_penalty=3.0
+            HGMatchTaskExecutor(plan, store), 8, numa_threshold=2
         )
         assert slow.makespan > fast.makespan
 
