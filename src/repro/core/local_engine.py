@@ -14,7 +14,11 @@ vertex of ``m``'s hyperedges to its step bitmask (the steps part of a
 Def. V.3 vertex profile) in O(sum of arities), then runs Alg. 4
 (set-operation candidate generation) and Alg. 5 (profile validation,
 O(|shared|) per candidate after one C-level set intersection) against
-it. The map lives only for that expansion; a task stays ``(step, m)``.
+it. Alg. 5 is called once per fresh candidate; at a step that shares
+one query vertex with the partial query its vertex count alone decides,
+because Alg. 4 has fixed that vertex's profile (the lemma in
+:mod:`repro.core.validate`). The map lives only for that expansion; a
+task stays ``(step, m)``.
 Operation counting serves budgets ("timeouts") and Exp-3's filtering
 statistics:
 
@@ -103,7 +107,7 @@ def expand_embedding(
     for c in cands:
         if c in m:
             n_skipped += 1
-        elif valid(step, incid, edges[c], stats, H=H):
+        elif valid(step, incid, edges[c], stats, H=H, from_alg4=True):
             out.append(m + (c,))
     if stats is not None:
         # Alg. 5's set-based op model, booked once: every checked

@@ -21,7 +21,24 @@ C-level intersection of the candidate with the map's keys plus
 O(|shared|) Python work (see :func:`is_valid_embedding`). Almost every
 step of a real query shares one vertex with the partial query (99.9%
 of the Alg. 5 calls of the benchmark's ``enum_heavy`` workload); there
-the profile multiset is a single pair, compared as one tuple.
+the profile multiset is a single pair, and on a candidate of Alg. 4 it
+needs no comparison at all:
+
+*Lemma (one shared vertex).* Let ``phi[i]`` share exactly one query
+vertex ``u`` with the partial query, and let ``M`` be ``u``'s step
+mask. Then the adjacent steps are exactly ``M``, Alg. 4's constraints
+are one ``(j, l(u), |M|)`` per bit ``j`` of ``M``, and its forbidden
+mask is every step below ``i`` outside ``M``. A candidate that passes
+the vertex count shares exactly one vertex ``v`` with the (valid)
+partial embedding, so every constraint's vertex in it is ``v``. Any
+two of Alg. 4's three guards then give ``incid[v] == M``: the
+non-adjacent exclusion (mask within ``M``) with the degree filter
+(popcount ``|M|``), the non-adjacent exclusion with the intersection
+over ``M``'s bits (mask covers ``M``), or the degree filter with that
+intersection. With ``l(v) == l(u)`` the one shared profile equals
+``step.shared_profiles``, so the count alone decides. The Spark engine
+enumerates only one constraint at such steps and so rests on both
+filters (:mod:`repro.dist.engine`).
 
 Why this is exactly correct (sketch, expanding the paper's proof):
 each vertex's profile only changes at steps where it lies in the newly
@@ -54,6 +71,7 @@ def is_valid_embedding(
     stats: Counter | None = None,
     *,
     H: Hypergraph,
+    from_alg4: bool = False,
 ) -> bool:
     """Alg. 5: vertex-count check then profile-multiset equality.
 
@@ -77,13 +95,22 @@ def is_valid_embedding(
     Once the vertex count holds, the shared sets have the same size on
     both sides. With one shared vertex ``v`` the multiset is the single
     pair ``(label(v), incid[v])``, compared without a sort.
+
+    ``from_alg4`` adds the precondition that ``vs`` came out of
+    :func:`~repro.core.candidates.generate_candidates` for this step and
+    ``incid``. Then, at a step whose query hyperedge shares one vertex
+    ``u`` (step mask ``M``) with the partial query, the vertex count
+    alone decides: Alg. 4 has already fixed the shared vertex's profile
+    to ``(label(u), M)`` (the module docstring's lemma).
     """
     shared = incid.keys() & vs
     if len(incid) + len(vs) - len(shared) != step.expected_vcount:
         return False
     if stats is not None:
         stats["filtered"] += 1  # passed the Obs. V.5 check
-    if len(shared) == 1:
+    if from_alg4 and len(step.shared_profiles) == 1:
+        pass  # Alg. 4 fixed the one shared profile: the module's lemma
+    elif len(shared) == 1:
         # One shared vertex (almost every step of a real query): its
         # profile is the whole multiset, so no list, sort or tuple.
         (v,) = shared

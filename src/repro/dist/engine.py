@@ -24,6 +24,18 @@ runs Alg. 4 + Alg. 5 as one pipeline:
    from the pre-append ``vsets``;
 4. *append* — one projection appends ``eid``/``cvs``/``cls`` to the row.
 
+At a step whose query hyperedge shares one vertex ``u`` (step mask
+``M``) with the partial query, only ``c0`` is projected and exploded,
+and the filter keeps only the ``emb`` check and the vertex count. Every
+``c_k`` is then the same array: the vertices whose mask is exactly
+``M``, by ``c_k``'s label, degree and non-adjacent terms. A candidate
+that passes the count shares exactly one vertex with the partial
+embedding, so that vertex is the joined ``v``: the row is the pair's
+only one, ``cvs`` overlaps every ``c_k``, and its profile is the plan's
+(the lemma in :mod:`repro.core.validate`). Unlike the local engine,
+which intersects over all of ``M``'s bits, this form rests on both the
+degree and the non-adjacent term of ``c0``.
+
 This is the generic-join pattern: enumerate one relation, probe the
 others. There is no aggregate, so a step costs two exchanges, both
 sides of the ``v`` join, and every operator is deterministic.
@@ -104,26 +116,34 @@ def _expand(sh: SparkHypergraph, step: PlanStep, cur: DataFrame) -> DataFrame:
     """EXPAND(phi[i]): extend every partial embedding by one hyperedge.
     The postings of constraint 0's vertices are enumerated and every
     other constraint is probed on the joined row, so no aggregate is
-    needed (Alg. 4 l.6-7)."""
+    needed (Alg. 4 l.6-7). At a step that shares one query vertex with
+    the partial query, ``c0`` alone is enumerated and the vertex count
+    alone validates (see the module docstring)."""
     if not step.constraints:
         raise ValueError("EXPAND requires a connected matching order")
-    cs = [f"c{k}" for k in range(len(step.constraints))]
+    one_shared = len(step.shared_profiles) == 1
+    constraints = step.constraints[:1] if one_shared else step.constraints
+    cs = [f"c{k}" for k in range(len(constraints))]
     constraint_vertices = (
-        f"{_constraint_vertices(step, c)} AS {ck}" for ck, c in zip(cs, step.constraints)
+        f"{_constraint_vertices(step, c)} AS {ck}" for ck, c in zip(cs, constraints)
     )
     cand_postings = postings(
         sh.edges.where(F.col("sig") == sig_str(step.sig)), "vs AS cvs", "ls AS cls"
     )
-    keep = [
-        "NOT array_contains(emb, eid)",
-        # One row per (emb, eid): the posting of the candidate's least
-        # vertex in c0.
-        "v = array_min(array_intersect(cvs, c0))",
-        *(f"arrays_overlap(cvs, {ck})" for ck in cs[1:]),
-        # Validation (Alg. 5): Obs. V.5 vertex count, then the profiles.
-        f"size(array_distinct(concat(flatten(vsets), cvs))) = {step.expected_vcount}",
-        _profiles_match(step),
-    ]
+    # Validation (Alg. 5) starts with the Obs. V.5 vertex count.
+    vcount = f"size(array_distinct(concat(flatten(vsets), cvs))) = {step.expected_vcount}"
+    if one_shared:
+        keep = ["NOT array_contains(emb, eid)", vcount]
+    else:
+        keep = [
+            "NOT array_contains(emb, eid)",
+            # One row per (emb, eid): the posting of the candidate's
+            # least vertex in c0.
+            "v = array_min(array_intersect(cvs, c0))",
+            *(f"arrays_overlap(cvs, {ck})" for ck in cs[1:]),
+            vcount,
+            _profiles_match(step),
+        ]
     return (
         cur.selectExpr("emb", "vsets", "lsets", *constraint_vertices)
         # explode_outer: on an attribute, explode makes Catalyst infer

@@ -35,3 +35,43 @@ def small_instance(seed: int, *, n_edges_q: int = 3, v_min: int = 2, v_max: int 
 def triangle_hypergraph() -> Hypergraph:
     """Three arity-2 hyperedges forming a labelled triangle."""
     return Hypergraph(["A", "A", "A"], [[0, 1], [1, 2], [0, 2]])
+
+
+def one_shared_lemma_instance() -> tuple[Hypergraph, Hypergraph]:
+    """``(H, q)`` where only Alg. 4's vertex filters reject a false
+    candidate at a one-shared-vertex step. q = {p,s}, {p,u,t}, {u,z}
+    (labels A,S,A,T,Z); H = q plus {p, z'} with z' labelled Z. At
+    phi = [0, 1, 2], step 2 shares u (mask 0b10) and must not take
+    {p, z'}: p is an A vertex of step 1 too, but step 0, non-adjacent
+    to phi[2], also holds it, and its degree is 2. There is one
+    embedding."""
+    q = Hypergraph(["A", "S", "A", "T", "Z"], [[0, 1], [0, 2, 3], [2, 4]])
+    H = Hypergraph(["A", "S", "A", "T", "Z", "Z"], [[0, 1], [0, 2, 3], [2, 4], [0, 5]])
+    return H, q
+
+
+def star_instance() -> tuple[Hypergraph, Hypergraph]:
+    """``(H, q)`` where only the degree filter of constraint 0 rejects a
+    false candidate of a one-shared step. q = {u,a}, {u,b}, {u,c}
+    (labels A,A,B,C); H = q plus {a, c'} with c' labelled C. At
+    phi = [0, 1, 2], step 2 shares u (mask 0b11) with two constraints;
+    a lies in step 0's image with u's label but has degree 1, and
+    {a, c'} passes the vertex count. There is one embedding."""
+    q = Hypergraph(["A", "A", "B", "C"], [[0, 1], [0, 2], [0, 3]])
+    H = Hypergraph(["A", "A", "B", "C", "C"], [[0, 1], [0, 2], [0, 3], [1, 4]])
+    return H, q
+
+
+def non_adjacent_instance() -> tuple[Hypergraph, Hypergraph]:
+    """``(H, q)`` where only the non-adjacent exclusion of constraint 0
+    rejects a false candidate of a one-shared step. q = {x,s}, {x,u,t},
+    {u,w}, {u,z} (labels A,S,A,T,W,Z); H = q plus {x, z'} with z'
+    labelled Z. At phi = [0, 1, 2, 3], step 3 shares u (mask 0b110);
+    x lies in step 1's image with u's label and degree 2, but step 0,
+    non-adjacent to phi[3], holds it too, and {x, z'} passes the vertex
+    count. There is one embedding."""
+    q = Hypergraph(["A", "S", "A", "T", "W", "Z"], [[0, 1], [0, 2, 3], [2, 4], [2, 5]])
+    H = Hypergraph(
+        ["A", "S", "A", "T", "W", "Z", "Z"], [[0, 1], [0, 2, 3], [2, 4], [2, 5], [0, 6]]
+    )
+    return H, q

@@ -2,7 +2,13 @@
 including the cross-engine agreement matrix on random instances."""
 import pytest
 
-from tests.helpers import small_instance, triangle_hypergraph
+from tests.helpers import (
+    non_adjacent_instance,
+    one_shared_lemma_instance,
+    small_instance,
+    star_instance,
+    triangle_hypergraph,
+)
 from repro.baselines.bruteforce import brute_force
 from repro.core import local_engine
 from repro.core.local_engine import (
@@ -107,6 +113,18 @@ class TestSpecialCases:
                 HGMatchTaskExecutor(plan, store, validation="wat")
             with pytest.raises(ValueError):
                 local_engine.expand_embedding(plan, store, 0, (), validation="wat")
+
+    def test_one_shared_step_decided_by_alg4_filters(self):
+        """At a one-shared-vertex step the vertex count alone decides
+        Alg. 5 (repro.core.validate's lemma); these false candidates
+        pass that count and are rejected by Alg. 4's vertex filters
+        only, so the count must stay 1."""
+        for H, q in (one_shared_lemma_instance(), star_instance(), non_adjacent_instance()):
+            phi = list(range(q.n_edges))
+            plan = compile_plan(q, phi)
+            assert all(len(s.shared_profiles) == 1 for s in plan.steps[1:])
+            assert brute_force(H, q)[0] == 1
+            assert hgmatch(H, SignatureStore(H), q, phi=phi).count == 1
 
     def test_collect_matches_count(self):
         inst = small_instance(3)

@@ -97,7 +97,9 @@ def test_incremental_alg5_equals_exact(H, k, data):
     order: on every hyperedge ``c`` of the partition S(phi[i]) outside
     the partial embedding (its precondition), not only on Alg. 4's
     output, it equals a full (label, mask | bit i) multiset check and
-    the exact bijection oracle. Alg. 4 must keep every valid one."""
+    the exact bijection oracle. Alg. 4 must keep every valid one. On
+    Alg. 4's candidates, the ``from_alg4`` form, which lets the vertex
+    count alone decide at one-shared steps, equals both as well."""
     q = connected_query_from(H, min(k, H.n_edges))
     if q is None:
         return
@@ -122,6 +124,8 @@ def test_incremental_alg5_equals_exact(H, k, data):
                 sorted((H.labels[v], incid.get(v, 0) | bit) for v in vs)
             ) == step.expected_profiles
             assert ok == full == exact_embedding_exists(plan, vsets + [vs], H)
+            if c in cands:
+                assert is_valid_embedding(step, incid, vs, H=H, from_alg4=True) == full
             if ok:
                 assert c in cands
                 stack.append(m + (c,))

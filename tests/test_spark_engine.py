@@ -5,7 +5,12 @@ from collections import Counter
 
 import pytest
 
-from tests.helpers import small_instance
+from tests.helpers import (
+    non_adjacent_instance,
+    one_shared_lemma_instance,
+    small_instance,
+    star_instance,
+)
 from repro.baselines.bruteforce import brute_force
 import repro.core.local_engine as local_engine
 from repro.core.local_engine import hgmatch
@@ -155,6 +160,17 @@ class TestCrossValidation:
         assert df.count() == len(bft)
         assert collect_embeddings_query_edge_order(df, plan) == bft
 
+    def test_one_shared_steps_rest_on_both_vertex_filters(self, spark):
+        # Every EXPAND step shares one query vertex, so only c0 is
+        # enumerated and only the vertex count validates. The false
+        # candidates {p, z'}, {a, c'} and {x, z'} pass that count; the
+        # first fails both of c0's vertex filters, the second only its
+        # degree term and the third only its non-adjacent exclusion.
+        for H, q in (one_shared_lemma_instance(), star_instance(), non_adjacent_instance()):
+            assert brute_force(H, q)[0] == 1
+            sh = build_spark_hypergraph(spark, H)
+            assert spark_hgmatch_count(spark, sh, q, phi=list(range(q.n_edges))) == 1
+
     @pytest.mark.parametrize("seed", [2, 5])
     def test_step_rows_equal_local_validated_per_step(self, spark, monkeypatch, seed):
         # Every phi-prefix is validated exactly by Alg. 5, so Spark's
@@ -233,37 +249,57 @@ class TestDataflowShape:
         # aggregates. The storage relations are cached, as a served
         # hypergraph would be, so a reused storage sub-plan cannot
         # hide its own exchanges.
-        H, store, q = small_instance(0, n_edges_q=4)
-        assert q.n_edges == 4
-        sh = build_spark_hypergraph(spark, H)
-        sh.edges, sh.index = sh.edges.cache(), sh.index.cache()
-        try:
-            _, plan = spark_hgmatch(spark, sh, q)
-            exchanges = []
-            for k in range(1, 5):
-                prefix, _ = q.subhypergraph(list(plan.phi[:k]))
-                df, _ = spark_hgmatch(spark, sh, prefix, phi=list(range(k)))
-                counted = df.groupBy().count()
-                assert counted.collect()[0][0] > 0
-                ops = _operators(counted._jdf.queryExecution().executedPlan())
-                exchanges.append(ops["Exchange"] + ops["ReusedExchange"])
-                aggregates = {n: c for n, c in ops.items() if "Aggregate" in n}
-                # The count: a partial and a final aggregate.
-                assert aggregates == {"HashAggregate": 2}, aggregates
-        finally:
-            sh.edges.unpersist()
-            sh.index.unpersist()
-        assert exchanges == [1, 3, 5, 7]
+        # Seed 0's EXPAND steps each share one query vertex and
+        # enumerate c0 alone; seed 2's second step shares two and
+        # probes every other constraint too.
+        for seed in (0, 2):
+            H, store, q = small_instance(seed, n_edges_q=4)
+            assert q.n_edges == 4
+            sh = build_spark_hypergraph(spark, H)
+            sh.edges, sh.index = sh.edges.cache(), sh.index.cache()
+            try:
+                _, plan = spark_hgmatch(spark, sh, q)
+                exchanges = []
+                for k in range(1, 5):
+                    prefix, _ = q.subhypergraph(list(plan.phi[:k]))
+                    df, _ = spark_hgmatch(spark, sh, prefix, phi=list(range(k)))
+                    counted = df.groupBy().count()
+                    assert counted.collect()[0][0] > 0
+                    ops = _operators(counted._jdf.queryExecution().executedPlan())
+                    exchanges.append(ops["Exchange"] + ops["ReusedExchange"])
+                    aggregates = {n: c for n, c in ops.items() if "Aggregate" in n}
+                    # The count: a partial and a final aggregate.
+                    assert aggregates == {"HashAggregate": 2}, aggregates
+            finally:
+                sh.edges.unpersist()
+                sh.index.unpersist()
+            assert exchanges == [1, 3, 5, 7], seed
 
     def test_no_appended_array_inside_lambdas(self, spark):
         # Every lambda reads the carried arrays as they were before the
         # step appended its candidate: no filter is pushed below a
         # step's append projection with concat(vsets, array(cvs))
-        # inlined, which would rebuild it per lambda call.
-        H, store, q = small_instance(0, n_edges_q=4)
-        df, _ = spark_hgmatch(spark, build_spark_hypergraph(spark, H), q)
-        optimized = df._jdf.queryExecution().optimizedPlan().toString()
-        assert "array_contains(concat(" not in optimized
+        # inlined, which would rebuild it per lambda call. Seed 0's
+        # EXPAND steps each share one query vertex (c0 only); seed 2's
+        # second step shares two (every c_k probed, profiles compared).
+        for seed in (0, 2):
+            H, store, q = small_instance(seed, n_edges_q=4)
+            df, _ = spark_hgmatch(spark, build_spark_hypergraph(spark, H), q)
+            optimized = df._jdf.queryExecution().optimizedPlan().toString()
+            assert "array_contains(concat(" not in optimized
+
+    def test_one_shared_step_filter_has_no_probe_or_profile(self, spark):
+        # Both EXPAND steps of the star share one query vertex; the
+        # second carries two constraints. Its filter keeps no
+        # arrays_overlap probe and no sorted profile array. Fig. 1's
+        # last step shares three vertices and keeps both.
+        star_H, star_q = star_instance()
+        for H, q, general in ((star_H, star_q, False), (fig1_data(), fig1_query(), True)):
+            df, plan = spark_hgmatch(spark, build_spark_hypergraph(spark, H), q, phi=[0, 1, 2])
+            assert len(plan.steps[2].constraints) > 1
+            analyzed = df._jdf.queryExecution().analyzed().toString()
+            assert ("arrays_overlap" in analyzed) == general
+            assert ("sort_array" in analyzed) == general
 
     def test_py4j_commands_per_expand_step(self, spark, monkeypatch):
         # Building an EXPAND step sends each expression to the JVM as
